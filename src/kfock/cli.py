@@ -80,8 +80,7 @@ def _cmd_fock(args):
     written = []
     for op_spec in args.op or []:
         word = tuple(op_spec.replace(",", " ").split())
-        path = g.normal_form(word)
-        op = fock.left_op(space, path)
+        op = fock.word_op(space, word)
         fname = os.path.join(args.out, "_".join(word) + ".mtx")
         fock.write_matrix_market(op, fname)
         written.append({"word": list(word), "file": fname,

@@ -1,18 +1,39 @@
 """Truncated Fock space over a k-graph and exact sparse operator checks.
 
-The basis is every canonical path of grading at most N; creation operators
-act by composition, with images beyond the truncation dropped.  Identities
-between words of the generators therefore hold exactly (integer arithmetic)
-after compressing to the interior block {delta <= N - g}, where g bounds the
+The basis is every canonical (colour-sorted) path of grading at most N.  The
+space holds one representation that every operator is read from: integer
+edge-action tables
+
+    left[e, i]  = index of e xi_i      right[e, i] = index of xi_i e
+
+with -1 where the edges do not compose or the image lies beyond N.  They are
+built once, lazily, grade by grade from the links ``parent(i)`` (the basis
+path with the leftmost letter stripped) and ``lead(i)`` (that letter), which
+has the smallest colour of the word:
+
+* ``child[e, p]`` is the index of e xi_p when that word is already sorted;
+* if colour(e) <= colour(lead(i)), ``left[e, i] = child[e, i]``;
+* otherwise the square (e, lead(i)) -> (a, b) rewrites the front pair, and
+  ``left[e, i] = child[a, left[b, parent(i)]]``;
+* ``right[e, i] = left[lead(i), right[e, parent(i)]]``.
+
+The factorization property makes these the normal forms of the composed
+words.  A creation operator of a path is the chain of gathers along its word,
+as a 0/1 matrix with at most one entry per column.  Gradings only grow along
+a word, so images beyond the truncation never come back and identities
+between words of the generators hold exactly (integer arithmetic) after
+compressing to the interior block {delta <= N - g}, where g bounds the
 grading of the words involved.  Floating point enters only through scalar
 coefficients (Cesaro weights, user combinations).
 """
+
+import functools
 
 import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .errors import DomainError, UnsupportedGraphError
+from .errors import DomainError, MalformedGraphError, UnsupportedGraphError
 from .kgraph import KGraph, Path, degree_vectors
 
 __all__ = [
@@ -43,7 +64,8 @@ class TruncatedFock:
 
     The basis is sorted by grading, then degree (lexicographic), then word,
     so matrices are reproducible across runs.  Construction assumes the graph
-    has been validated.
+    has been validated.  ``left`` and ``right`` are the edge-action tables of
+    the module docstring; their rows follow ``edge_codes``.
     """
 
     def __init__(self, graph: KGraph, trunc: int):
@@ -62,8 +84,6 @@ class TruncatedFock:
         self._by_grade = {
             t: np.flatnonzero(self.deltas == t) for t in range(self.trunc + 1)
         }
-        self._edge_ops = {}
-        self._word_ops = {}
         self._links = None
 
     @property
@@ -105,6 +125,19 @@ class TruncatedFock:
             return self.graph.identity(what)
         raise DomainError(f"{what!r} is neither a path, an edge id, nor a vertex id")
 
+    @functools.cached_property
+    def edge_codes(self) -> dict:
+        """Edge id -> table row, in ``sorted(edge ids)`` order."""
+        return {e.id: c for c, e in enumerate(self.graph.edges)}
+
+    @functools.cached_property
+    def ends(self):
+        """Per-basis (source, range) vertex codes; vertices in sorted order."""
+        code = {v: c for c, v in enumerate(self.graph.vertices)}
+        src = np.array([code[p.src] for p in self.basis], dtype=np.int64)
+        dst = np.array([code[p.dst] for p in self.basis], dtype=np.int64)
+        return src, dst
+
     def parent_links(self):
         """Per-basis arrays (parent index, leading edge code) for recursions
         along 'strip the leftmost letter'; identities get parent -1.
@@ -112,17 +145,27 @@ class TruncatedFock:
         Edge codes index ``sorted(edge ids)``.
         """
         if self._links is None:
-            g = self.graph
-            edge_order = {e.id: c for c, e in enumerate(g.edges)}
+            key = {(p.word, p.src): i for i, p in enumerate(self.basis)}
+            code = self.edge_codes
             parent = np.full(self.dimension, -1, dtype=np.int64)
             lead = np.full(self.dimension, -1, dtype=np.int64)
             for i, p in enumerate(self.basis):
                 if p.word:
-                    suffix = g.path_from_word(p.word[1:], base=p.src)
-                    parent[i] = self._index[suffix]
-                    lead[i] = edge_order[p.word[0]]
+                    parent[i] = key[(p.word[1:], p.src)]
+                    lead[i] = code[p.word[0]]
             self._links = (parent, lead)
         return self._links
+
+    @functools.cached_property
+    def left(self) -> np.ndarray:
+        """left[e, i]: index of e xi_i, or -1.  One extra column of -1 makes a
+        gather through an undefined entry stay undefined."""
+        return _left_table(self)
+
+    @functools.cached_property
+    def right(self) -> np.ndarray:
+        """right[e, i]: index of xi_i e, or -1; same layout as ``left``."""
+        return _right_table(self)
 
     def __repr__(self):
         return f"TruncatedFock({self.graph!r}, N={self.trunc}, dim={self.dimension})"
@@ -204,6 +247,98 @@ class SparseOperator:
                 f"g={self.symbol_grading})")
 
 
+def _edge_arrays(g: KGraph):
+    """Per table row: colour, source and range vertex codes."""
+    code = {v: c for c, v in enumerate(g.vertices)}
+    edges = g.edges
+    return (np.array([e.color for e in edges], dtype=np.int64),
+            np.array([code[e.src] for e in edges], dtype=np.int64),
+            np.array([code[e.dst] for e in edges], dtype=np.int64))
+
+
+def _left_table(fock: TruncatedFock) -> np.ndarray:
+    """The recursion of the module docstring, one grade at a time."""
+    g = fock.graph
+    edges = g.edges
+    code = fock.edge_codes
+    color, esrc, edst = _edge_arrays(g)
+    parent, lead = fock.parent_links()
+    shape = (len(edges), fock.dimension + 1)
+    child = np.full(shape, -1, dtype=np.int64)
+    nz = np.flatnonzero(parent >= 0)
+    child[lead[nz], parent[nz]] = nz
+    sq_a = np.full((len(edges), len(edges)), -1, dtype=np.int64)
+    sq_b = np.full_like(sq_a, -1)
+    for sq in reversed(g.squares):  # the first square for a pair wins
+        (e, f), (a, b) = (code[x] for x in sq.rhs), (code[x] for x in sq.lhs)
+        sq_a[e, f], sq_b[e, f] = a, b
+
+    left = np.full(shape, -1, dtype=np.int64)
+    for t in range(fock.trunc + 1):
+        idx = fock.grade_indices(t)
+        block = child[:, idx]
+        if t > 0:
+            f = lead[idx]
+            swap = (color[:, None] > color[f]) & (esrc[:, None] == edst[f])
+            es, js = np.nonzero(swap)
+            a, b = sq_a[es, f[js]], sq_b[es, f[js]]
+            if (a < 0).any():
+                w = int(np.argmax(a < 0))
+                raise MalformedGraphError(
+                    f"no square for adjacent pair ({edges[es[w]].id}, {edges[f[js[w]]].id})")
+            mid = left[b, parent[idx[js]]]
+            block[es, js] = child[a, mid]
+            broken = (mid < 0) | ((block[es, js] < 0) & (t < fock.trunc))
+            if broken.any():
+                w = int(np.argmax(broken))
+                raise MalformedGraphError(
+                    f"square ({edges[a[w]].id}, {edges[b[w]].id}) = "
+                    f"({edges[es[w]].id}, {edges[f[js[w]]].id}) has broken endpoints")
+        left[:, idx] = block
+    return left
+
+
+def _right_table(fock: TruncatedFock) -> np.ndarray:
+    """right[e, i] = left[lead(i), right[e, parent(i)]], one grade at a time."""
+    parent, lead = fock.parent_links()
+    left = fock.left
+    _, esrc, edst = _edge_arrays(fock.graph)
+    right = np.full_like(left, -1)
+    # xi_v e is the edge path e = e xi_{s(e)} when e ends at v
+    ident = fock.grade_indices(0)  # one identity per vertex, in order
+    edge_path = left[np.arange(len(left)), ident[esrc]]
+    right[:, ident] = np.where(edst[:, None] == np.arange(len(ident)),
+                               edge_path[:, None], -1)
+    for t in range(1, fock.trunc + 1):
+        idx = fock.grade_indices(t)
+        right[:, idx] = left[lead[idx], right[:, parent[idx]]]
+    return right
+
+
+def _images(table, letters, img):
+    """Gather ``img`` through the table rows ``letters``, first letter first."""
+    for c in letters:
+        img = table[c, img]
+    return img
+
+
+def _creation_op(fock: TruncatedFock, lam: Path, table, ends, letters) -> SparseOperator:
+    """The 0/1 operator taking xi_i to the image of i under ``letters`` in
+    ``table``; an identity keeps the xi_i whose ``ends`` is its vertex."""
+    if lam.is_identity:
+        img = np.where(ends == fock.graph.vertices.index(lam.src),
+                       np.arange(fock.dimension), -1)
+    else:
+        code = fock.edge_codes
+        img = _images(table, [code[x] for x in letters], np.arange(fock.dimension))
+    cols = np.flatnonzero(img >= 0)
+    m = sp.csr_matrix(
+        (np.ones(len(cols), dtype=np.int64), (img[cols], cols)),
+        shape=(fock.dimension, fock.dimension),
+    )
+    return SparseOperator(fock, m, symbol_grading=lam.delta)
+
+
 def left_op(fock: TruncatedFock, what) -> SparseOperator:
     """Creation operator xi_mu -> xi_{lambda mu}; overflow images dropped.
 
@@ -211,39 +346,13 @@ def left_op(fock: TruncatedFock, what) -> SparseOperator:
     isometries.  Entries are 0/1 integers.
     """
     lam = fock.as_path(what)
-    g = fock.graph
-    rows, cols = [], []
-    for col, mu in enumerate(fock.basis):
-        if lam.src != mu.dst:
-            continue
-        target = g.compose(lam, mu)
-        if target.delta <= fock.trunc:
-            rows.append(fock.index_of(target))
-            cols.append(col)
-    m = sp.csr_matrix(
-        (np.ones(len(rows), dtype=np.int64), (rows, cols)),
-        shape=(fock.dimension, fock.dimension),
-    )
-    return SparseOperator(fock, m, symbol_grading=lam.delta)
+    return _creation_op(fock, lam, fock.left, fock.ends[1], reversed(lam.word))
 
 
 def right_op(fock: TruncatedFock, what) -> SparseOperator:
     """Right creation operator xi_mu -> xi_{mu lambda} when composable."""
     lam = fock.as_path(what)
-    g = fock.graph
-    rows, cols = [], []
-    for col, mu in enumerate(fock.basis):
-        if mu.src != lam.dst:
-            continue
-        target = g.compose(mu, lam)
-        if target.delta <= fock.trunc:
-            rows.append(fock.index_of(target))
-            cols.append(col)
-    m = sp.csr_matrix(
-        (np.ones(len(rows), dtype=np.int64), (rows, cols)),
-        shape=(fock.dimension, fock.dimension),
-    )
-    return SparseOperator(fock, m, symbol_grading=lam.delta)
+    return _creation_op(fock, lam, fock.right, fock.ends[0], lam.word)
 
 
 def identity_op(fock: TruncatedFock) -> SparseOperator:
@@ -259,33 +368,13 @@ def grading_projection(fock: TruncatedFock, t: int) -> SparseOperator:
                           symbol_grading=0)
 
 
-def _edge_op_cached(fock: TruncatedFock, eid: str) -> SparseOperator:
-    op = fock._edge_ops.get(eid)
-    if op is None:
-        op = left_op(fock, eid)
-        fock._edge_ops[eid] = op
-    return op
-
-
 def word_op(fock: TruncatedFock, word, base=None) -> SparseOperator:
-    """Product of edge creation operators along a word (leftmost applied last).
-
-    Differs from ``left_op`` of the composed path only by extra truncation
-    loss near the boundary.
+    """Creation operator of a composable raw edge word (an empty word needs
+    ``base``): ``left_op`` of its normal form.  This is also the product of
+    the edge operators along the word, since gradings only grow along a word
+    and truncation never cuts a product short.
     """
-    word = tuple(word)
-    if not word:
-        if base is None:
-            raise DomainError("empty word needs a base vertex")
-        return left_op(fock, fock.graph.identity(base))
-    cached = fock._word_ops.get(word)
-    if cached is not None:
-        return cached
-    op = _edge_op_cached(fock, word[-1])
-    for eid in reversed(word[:-1]):
-        op = _edge_op_cached(fock, eid) @ op
-    fock._word_ops[word] = op
-    return op
+    return left_op(fock, fock.graph.normal_form(tuple(word), base=base))
 
 
 def fourier_coefficient(op: SparseOperator, path: Path):
@@ -361,37 +450,55 @@ def commutant_residual(fock: TruncatedFock):
 def partial_isometry_residual(fock: TruncatedFock):
     """Max interior residual of L_e* L_e = L_{s(e)} over all edges; exact 0
     on a valid graph."""
+    g = fock.graph
+    proj = {v: left_op(fock, v) for v in g.vertices}
     worst = 0
-    for e in fock.graph.edges:
-        le = _edge_op_cached(fock, e.id)
-        proj = left_op(fock, fock.graph.identity(e.src))
-        diff = le.adjoint() @ le - proj
+    for e in g.edges:
+        le = left_op(fock, e.id)
+        diff = le.adjoint() @ le - proj[e.src]
         worst = max(worst, diff.max_abs_interior(1))
     return worst
 
 
 def same_degree_range_conflicts(fock: TruncatedFock, max_grading=None):
-    """Pairs (lambda != mu, same degree) with non-orthogonal ranges.
+    """Pairs (lambda != mu, same degree) with non-orthogonal ranges, as
+    (first owner, path, basis vector) triples.
 
     Each creation operator has at most one entry per column, so
-    L_lambda* L_mu != 0 exactly when some basis vector lies in both ranges;
-    scanning range membership once per degree is the same check as forming
-    every product.
+    L_lambda* L_mu != 0 exactly when some basis vector lies in both ranges.
+    The images of all paths of one degree are gathered at once and one
+    bincount finds the basis vectors hit twice.  Triples come in path order,
+    then basis order, naming the first path whose range held the vector.
     """
     cap = fock.trunc if max_grading is None else min(max_grading, fock.trunc)
+    g = fock.graph
+    parent, lead = fock.parent_links()
+    src, dst = fock.ends
     conflicts = []
     for t in range(cap + 1):
-        for n in degree_vectors(fock.graph.k, t):
-            paths = fock.graph.paths_of_degree(n, max_grading=cap)
+        cols = fock.interior_indices(t)
+        for n in degree_vectors(g.k, t):
+            paths = g.paths_of_degree(n, max_grading=cap)
             if len(paths) < 2:
                 continue
-            owner = {}
-            for p in paths:
-                rows = left_op(fock, p).matrix.tocoo().row
-                for r in rows:
-                    prev = owner.setdefault(int(r), p)
-                    if prev != p:
-                        conflicts.append((prev, p, fock.basis[int(r)]))
+            at = np.array([fock.index_of(p) for p in paths], dtype=np.int64)
+            img = np.where(dst[cols] == src[at][:, None], cols, -1)
+            letters = []  # every path's word, leftmost letter first
+            for _ in range(t):
+                letters.append(lead[at][:, None])
+                at = parent[at]
+            img = _images(fock.left, reversed(letters), img)
+            owner, col = np.nonzero(img >= 0)
+            rows = img[owner, col]
+            if rows.size == 0 or np.bincount(rows).max() <= 1:
+                continue
+            order = np.lexsort((rows, owner))
+            owner, rows = owner[order], rows[order]
+            first = np.full(fock.dimension, len(paths))
+            np.minimum.at(first, rows, owner)
+            for o, r in zip(owner, rows):
+                if o != first[r]:
+                    conflicts.append((paths[first[r]], paths[o], fock.basis[r]))
     return conflicts
 
 

@@ -178,7 +178,8 @@ def omega_vector(fock, alpha) -> np.ndarray:
     g = fock.graph
     point = as_point(g, alpha)
     _check_interior(g, point)
-    coords = np.array([_coord_map(g, point)[e.id] for e in g.edges], dtype=complex)
+    coord = _coord_map(g, point)
+    coords = np.array([coord[e.id] for e in g.edges], dtype=complex)
     parent, lead = fock.parent_links()
     vals = np.zeros(fock.dimension, dtype=complex)
     vals[fock.grade_indices(0)] = 1.0
@@ -190,8 +191,6 @@ def omega_vector(fock, alpha) -> np.ndarray:
 
 def _truncated_norm_series(norms_sq, trunc):
     """Per-grading sums of prod r_i^{m_i} over |m| = t, t <= trunc."""
-    layers = np.zeros(trunc + 1)
-    layers[0] = 1.0
     acc = np.array([1.0])
     for r in norms_sq:
         geo = np.array([r ** t for t in range(trunc + 1)])
@@ -281,15 +280,13 @@ def eigen_residual(g: KGraph, edge_id: str, alpha, trunc: int,
         if fock.trunc != trunc:
             raise DomainError("fock truncation disagrees with `trunc`")
         vec = omega_vector(fock, point)
-        from .fock import left_op
-
-        L = left_op(fock, edge_id)
-        adj = L.matrix.T @ vec
         coord = _coord_map(g, point)[edge_id]
         idx = fock.interior_indices(1)
         if len(idx) == 0:
             return 0.0
-        return float(np.abs(adj[idx] - coord * vec[idx]).max())
+        # (L_e* omega)_i = omega at the index of e xi_i, read off the table
+        adj = np.append(vec, 0.0)[fock.left[fock.edge_codes[edge_id], idx]]
+        return float(np.abs(adj - coord * vec[idx]).max())
 
     consts = _constant_coordinates(point)
     if consts is None:
@@ -380,13 +377,13 @@ def multiplicativity_check(fock, alpha, grading_budget: int = 3,
     g = fock.graph
     point = as_point(g, alpha)
     _check_interior(g, point)
-    from .fock import word_op
+    from .fock import left_op
 
     vec = omega_vector(fock, conjugate_point(point))
     vec = vec / np.linalg.norm(vec)
 
-    words = [p for p in fock.basis if p.delta <= grading_budget]
-    mats = [word_op(fock, p.word, base=p.src).matrix for p in words]
+    words = [fock.basis[i] for i in np.flatnonzero(fock.deltas <= grading_budget)]
+    mats = [left_op(fock, p).matrix for p in words]
     dim = fock.dimension
     U = np.empty((len(words), dim), dtype=complex)
     Y = np.empty((len(words), dim), dtype=complex)

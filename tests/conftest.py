@@ -1,16 +1,19 @@
 """Shared fixtures and independent brute-force oracles.
 
 The oracles deliberately avoid the library's own shortcuts: class counting
-closes raw words under single square applications in both directions, and
-cycle detection enumerates closed walks.  Tests compare library output
-against these.
+closes raw words under single square applications in both directions, cycle
+detection enumerates closed walks, and creation operators compose paths one
+basis vector at a time instead of reading the edge-action tables.  Tests
+compare library output against these.
 """
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from kfock import builders
-from kfock.kgraph import Edge, KGraph, validate
+from kfock.fock import SparseOperator
+from kfock.kgraph import Edge, KGraph, degree_vectors, validate
 
 
 # -- graphs used across the suite ---------------------------------------------
@@ -126,6 +129,55 @@ def nc_oracle(g: KGraph):
                 else:
                     stack.append((e.dst, walk + (e.id,)))
     return tuple(sorted(e.id for e in g.edges if e.id not in on_cycle))
+
+
+def _composition_op(space, lam, compose):
+    rows, cols = [], []
+    for col, mu in enumerate(space.basis):
+        target = compose(mu)
+        if target is not None and target.delta <= space.trunc:
+            rows.append(space.index_of(target))
+            cols.append(col)
+    m = sp.csr_matrix(
+        (np.ones(len(rows), dtype=np.int64), (rows, cols)),
+        shape=(space.dimension, space.dimension),
+    )
+    return SparseOperator(space, m, symbol_grading=lam.delta)
+
+
+def oracle_left_op(space, what):
+    """xi_mu -> xi_{lambda mu} by ``KGraph.compose`` on every basis path."""
+    lam = space.as_path(what)
+    g = space.graph
+    return _composition_op(
+        space, lam, lambda mu: g.compose(lam, mu) if lam.src == mu.dst else None)
+
+
+def oracle_right_op(space, what):
+    """xi_mu -> xi_{mu lambda} by ``KGraph.compose`` on every basis path."""
+    lam = space.as_path(what)
+    g = space.graph
+    return _composition_op(
+        space, lam, lambda mu: g.compose(mu, lam) if mu.src == lam.dst else None)
+
+
+def oracle_range_conflicts(space, max_grading=None):
+    """Range-membership scan: per degree, every row of every path's oracle
+    operator, remembering the first path that held it."""
+    cap = space.trunc if max_grading is None else min(max_grading, space.trunc)
+    conflicts = []
+    for t in range(cap + 1):
+        for n in degree_vectors(space.graph.k, t):
+            paths = space.graph.paths_of_degree(n, max_grading=cap)
+            if len(paths) < 2:
+                continue
+            owner = {}
+            for p in paths:
+                for r in oracle_left_op(space, p).matrix.tocoo().row:
+                    prev = owner.setdefault(int(r), p)
+                    if prev != p:
+                        conflicts.append((prev, p, space.basis[int(r)]))
+    return conflicts
 
 
 # -- seeded random valid k-graphs ---------------------------------------------
