@@ -2,7 +2,7 @@
 """Tour of the graph constructors and the path calculus.
 
 Builds the recurring examples, counts paths per degree, rewrites words into
-their canonical color-sorted form, and runs the exhaustive validator.
+their canonical color-sorted form, and runs the complete validator.
 """
 
 from kfock import builders
@@ -56,8 +56,9 @@ print("\nsingle-vertex (2,2) cyclic:",
       {deg: len(sv.paths_of_degree(deg)) for deg in [(1, 0), (1, 1), (2, 2)]})
 
 # ---------------------------------------------------------------------------
-# The validator checks square bijectivity, one factorization per degree
-# split, and rewrite confluence, exhaustively up to a grading bound.
+# The validator is complete: square bijection plus critical-word confluence.
+# It counts the two-color pairs the squares pair off and the critical words
+# x y z (colors strictly decreasing); rank-2 graphs have none.
 for name, g in [("doubled chain", doubled), ("rank-2 cycle", cyc),
                 ("product", prod), ("single-vertex", sv)]:
     rep = validate(g, max_grading=5)

@@ -192,10 +192,13 @@ def _build_parser():
         sp.add_argument("graph", nargs="+",
                         help="spec file path or builtin tokens")
         sp.add_argument("--max-grading", type=int, default=None,
-                        help="validation grading bound")
+                        help="accepted and echoed as maxGrading in validate "
+                             "reports; the check is complete for every "
+                             "grading, so it changes nothing")
         sp.add_argument("--json", default=None, help="write the report here")
 
-    sp = sub.add_parser("validate", help="exhaustive factorization check")
+    sp = sub.add_parser("validate", help="complete k-graph check: square bijection "
+                                           "plus critical-word confluence")
     graph_arg(sp)
     sp.set_defaults(func=_cmd_validate, default_grading=8)
 

@@ -287,7 +287,6 @@ def radical_check(g: KGraph, fock_space, word_grading: int = 2,
     An empty no-cycle set passes vacuously.
     """
     from . import fock as _fock
-    from .kgraph import _all_raw_words
 
     nc = nc_edges(g)
     n = len(g.vertices)
@@ -315,10 +314,12 @@ def radical_check(g: KGraph, fock_space, word_grading: int = 2,
             report["squareZeroChecked"] += 1
 
     budget = ideal_grading if ideal_grading is not None else fock_space.trunc
-    nc_set = set(nc)
+    # a path has a representative through e exactly when it is mu e nu
+    shorter = g.all_paths_up_to(budget - 1)
     ideal_paths = sorted(
-        {g.normal_form(w) for w in _all_raw_words(g, budget)
-         if any(x in nc_set for x in w)},
+        {g.normal_form(mu.word + (eid,) + nu.word)
+         for eid in nc for nu in shorter if nu.dst == g.edge(eid).src
+         for mu in shorter if mu.src == g.edge(eid).dst and mu.delta + nu.delta < budget},
         key=Path.sort_key,
     )
     report["idealWords"] = len(ideal_paths)

@@ -2,18 +2,32 @@
 
 The oracles deliberately avoid the library's own shortcuts: class counting
 closes raw words under single square applications in both directions, cycle
-detection enumerates closed walks, and creation operators compose paths one
-basis vector at a time instead of reading the edge-action tables.  Tests
+detection enumerates closed walks, creation operators compose paths one
+basis vector at a time instead of reading the edge-action tables, and
+validity is searched grading by grading (factorization counts and every
+rewrite order of every raw word) instead of by critical words.  Tests
 compare library output against these.
 """
+
+import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from kfock import builders
+from kfock.errors import MalformedGraphError
 from kfock.fock import SparseOperator
-from kfock.kgraph import Edge, KGraph, degree_vectors, validate
+from kfock.kgraph import (
+    CommutationSquare,
+    Edge,
+    KGraph,
+    ValidationReport,
+    _square_structure_failures,
+    degree_vectors,
+    validate,
+)
 
 
 # -- graphs used across the suite ---------------------------------------------
@@ -131,6 +145,92 @@ def nc_oracle(g: KGraph):
     return tuple(sorted(e.id for e in g.edges if e.id not in on_cycle))
 
 
+def _all_raw_words(g: KGraph, max_len: int):
+    """All composable edge words of length 1..max_len."""
+    layer = [(e.id,) for e in g.edges]
+    for w in layer:
+        yield w
+    for _ in range(max_len - 1):
+        nxt = []
+        for w in layer:
+            head_dst = g.edge(w[0]).dst
+            for e in g.edges:
+                if e.src == head_dst:
+                    nxt.append((e.id,) + w)
+        layer = nxt
+        for w in layer:
+            yield w
+
+
+def _reachable_normal_forms(g: KGraph, word, memo):
+    """Every color-sorted word reachable by choosing rewrite positions freely."""
+    got = memo.get(word)
+    if got is not None:
+        return got
+    colors = [g.edge(x).color for x in word]
+    redexes = [t for t in range(len(word) - 1) if colors[t] > colors[t + 1]]
+    if not redexes:
+        result = frozenset([word])
+    else:
+        acc = set()
+        for t in redexes:
+            pair = (word[t], word[t + 1])
+            repl = g._anti2norm.get(pair)
+            if repl is None:
+                raise MalformedGraphError(f"no square for adjacent pair {pair}")
+            nxt = word[:t] + repl + word[t + 2:]
+            acc |= _reachable_normal_forms(g, nxt, memo)
+        result = frozenset(acc)
+    memo[word] = result
+    return result
+
+
+def oracle_validate(g: KGraph, max_grading: int) -> ValidationReport:
+    """Grading-bounded search for the factorization property.
+
+    After the library's square-bijection stage, every canonical path of
+    grading <= max_grading must have exactly one factorization per degree
+    split, counted over all pairs of shorter paths, and every composable raw
+    word of length <= max_grading must reach one color-sorted word whatever
+    rewrite positions are chosen.
+    """
+    failures = _square_structure_failures(g)
+    stats = {"pathsChecked": 0, "wordsChecked": 0, "squares": len(g.squares)}
+    if not failures:
+        for t in range(1, max_grading + 1):
+            for n in degree_vectors(g.k, t):
+                targets = g.paths_of_degree(n, max_grading=max_grading)
+                stats["pathsChecked"] += len(targets)
+                for m in itertools.product(*(range(x + 1) for x in n)):
+                    rest = tuple(a - b for a, b in zip(n, m))
+                    counts = Counter()
+                    for nu in g.paths_of_degree(rest, max_grading=max_grading):
+                        for mu in g.paths_of_degree(m, max_grading=max_grading):
+                            if mu.src == nu.dst:
+                                counts[g.compose(mu, nu)] += 1
+                    for lam in targets:
+                        c = counts.get(lam, 0)
+                        if c != 1:
+                            failures.append({
+                                "kind": "factorization",
+                                "path": list(lam.word) or [lam.src],
+                                "split": list(m),
+                                "count": c,
+                            })
+        memo = {}
+        for word in _all_raw_words(g, max_grading):
+            stats["wordsChecked"] += 1
+            forms = _reachable_normal_forms(g, word, memo)
+            if len(forms) != 1:
+                failures.append({
+                    "kind": "confluence",
+                    "word": list(word),
+                    "normalForms": sorted(list(f) for f in forms),
+                })
+    return ValidationReport(ok=not failures, max_grading=max_grading,
+                            failures=failures, stats=stats)
+
+
 def _composition_op(space, lam, compose):
     rows, cols = [], []
     for col, mu in enumerate(space.basis):
@@ -180,7 +280,36 @@ def oracle_range_conflicts(space, max_grading=None):
     return conflicts
 
 
-# -- seeded random valid k-graphs ---------------------------------------------
+# -- seeded random k-graphs -----------------------------------------------------
+
+
+def _random_squares(rng, k, edges):
+    """Squares pairing the two color orders cell by cell at random, or None
+    when some cell has unequal sides (the adjacency matrices do not commute)."""
+    squares = []
+    for i, j in itertools.combinations(range(1, k + 1), 2):
+        gi = [e for e in edges if e.color == i]
+        gj = [e for e in edges if e.color == j]
+        e_cells, f_cells = {}, {}
+        for a in gi:
+            for b in gj:
+                if a.src == b.dst:
+                    e_cells.setdefault((a.dst, b.src), []).append((a.id, b.id))
+        for b in gj:
+            for a in gi:
+                if b.src == a.dst:
+                    f_cells.setdefault((b.dst, a.src), []).append((b.id, a.id))
+        if set(e_cells) != set(f_cells):
+            return None
+        theta = {}
+        for cell in sorted(e_cells):
+            es, fs = sorted(e_cells[cell]), sorted(f_cells[cell])
+            if len(es) != len(fs):
+                return None
+            fs = [fs[int(t)] for t in rng.permutation(len(fs))]
+            theta.update(dict(zip(es, fs)))
+        squares += [CommutationSquare(lhs=pair, rhs=img) for pair, img in sorted(theta.items())]
+    return squares
 
 
 def _random_candidate(rng):
@@ -195,36 +324,11 @@ def _random_candidate(rng):
              dst=vertices[int(rng.integers(nv))])
         for t, c in enumerate(colors)
     ]
-    if k == 1:
-        return KGraph(1, vertices, edges)
-
-    g1 = [e for e in edges if e.color == 1]
-    g2 = [e for e in edges if e.color == 2]
-    e_cells, f_cells = {}, {}
-    for a in g1:
-        for b in g2:
-            if a.src == b.dst:
-                e_cells.setdefault((a.dst, b.src), []).append((a.id, b.id))
-    for b in g2:
-        for a in g1:
-            if b.src == a.dst:
-                f_cells.setdefault((b.dst, a.src), []).append((b.id, a.id))
-    if set(e_cells) != set(f_cells):
-        return None
-    theta = {}
-    for cell in sorted(e_cells):
-        es, fs = sorted(e_cells[cell]), sorted(f_cells[cell])
-        if len(es) != len(fs):
-            return None
-        fs = [fs[int(i)] for i in rng.permutation(len(fs))]
-        theta.update(dict(zip(es, fs)))
-    from kfock.kgraph import CommutationSquare
-
-    squares = [CommutationSquare(lhs=pair, rhs=img) for pair, img in sorted(theta.items())]
-    return KGraph(2, vertices, edges, squares)
+    squares = _random_squares(rng, k, edges)
+    return None if squares is None else KGraph(k, vertices, edges, squares)
 
 
-def random_valid_kgraphs(count: int, seed: int, max_grading: int = 4):
+def random_valid_kgraphs(count: int, seed: int):
     """Deterministic stream of validated graphs (<=4 vertices, <=6 edges, k<=2)."""
     rng = np.random.default_rng(seed)
     found = []
@@ -236,6 +340,26 @@ def random_valid_kgraphs(count: int, seed: int, max_grading: int = 4):
         g = _random_candidate(rng)
         if g is None:
             continue
-        if validate(g, max_grading=max_grading).ok:
+        if validate(g).ok:
             found.append(g)
     return found
+
+
+def random_k3_candidates(count: int, seed: int):
+    """Deterministic stream of 3-colored graphs on Z_2 or Z_3 whose squares
+    biject but are otherwise random, so both verdicts occur.  Each color
+    joins v to v + s for one or two random shifts s, so the color adjacency
+    matrices are circulant and commute and every cell pairs off."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        nv = int(rng.integers(2, 4))
+        vertices = [f"v{i}" for i in range(nv)]
+        edges = []
+        for c in (1, 2, 3):
+            for s in rng.integers(nv, size=int(rng.integers(1, 3))):
+                for v in range(nv):
+                    edges.append(Edge(f"e{len(edges)}", c, vertices[v],
+                                      vertices[(v + int(s)) % nv]))
+        out.append(KGraph(3, vertices, edges, _random_squares(rng, 3, edges)))
+    return out

@@ -215,5 +215,5 @@ def test_criterion_14_builtin_validation():
         g = builders.builtin_graph(tokens)
         rep = validate(g, max_grading=6)
         assert rep.ok, (tokens, rep.failures[:3])
-    _pass(14, f"{len(builtins)} builtin graphs: unique factorization per degree "
-              "split and rewrite confluence, exhaustive to grading 6")
+    _pass(14, f"{len(builtins)} builtin graphs: complete check, square bijection "
+              "plus critical-word confluence")

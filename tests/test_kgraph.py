@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import closure_class_count
+from conftest import closure_class_count, raw_words_of_degree
 from kfock import builders
 from kfock.errors import BudgetError, CompositionError, MalformedGraphError
 from kfock.kgraph import CommutationSquare, Edge, KGraph, degree_vectors, validate
@@ -160,9 +160,16 @@ def test_validate_detects_three_color_inconsistency():
     assert any(len(f["word"]) == 3 for f in conf)
 
 
-def test_validate_factorization_counts_are_exact(chain3):
+def test_validate_stats_count_pairs_and_critical_words(chain3):
+    def two_color_pairs(g):
+        return sum(len(raw_words_of_degree(g, n)) for n in degree_vectors(g.k, 2) if max(n) == 1)
+
     rep = validate(chain3, 6)
     assert rep.ok
-    # every degree split of every path was counted
-    assert rep.stats["pathsChecked"] > 0
-    assert rep.stats["wordsChecked"] > 0
+    assert rep.stats["pathsChecked"] == two_color_pairs(chain3) > 0
+    assert rep.stats["wordsChecked"] == 0  # k = 2 has no critical words
+    cyc = builders.cycle_rank(4, 3)
+    rep = validate(cyc)
+    assert rep.ok
+    assert rep.stats["pathsChecked"] == two_color_pairs(cyc) == 24
+    assert rep.stats["wordsChecked"] == 4  # one per vertex
