@@ -236,8 +236,8 @@ def random_table(n, seed) -> dict:
     return out
 
 
-def single_vertex(n, theta=None, vertex: str = "v") -> KGraph:
-    """One vertex with ``n[i]`` loops of color i+1 and relations from a
+def single_vertex(n, theta=None) -> KGraph:
+    """One vertex ``v`` with ``n[i]`` loops of color i+1 and relations from a
     permutation table ``theta[(i, j)]`` over the mixed products enumerated
     row-major: (1,1), (1,2), ..., (1, n_j), (2, 1), ...
     """
@@ -256,7 +256,7 @@ def single_vertex(n, theta=None, vertex: str = "v") -> KGraph:
     def eid(color, p):
         return f"e{color}_{p}"
 
-    edges = [Edge(id=eid(c, p), color=c, src=vertex, dst=vertex)
+    edges = [Edge(id=eid(c, p), color=c, src="v", dst="v")
              for c in range(1, k + 1) for p in range(1, n[c - 1] + 1)]
     squares = []
     for (i, j), perm in sorted(theta.items()):
@@ -274,12 +274,12 @@ def single_vertex(n, theta=None, vertex: str = "v") -> KGraph:
                 lhs=(eid(i, p + 1), eid(j, q + 1)),
                 rhs=(eid(j, s + 1), eid(i, r + 1)),
             ))
-    return KGraph(k=k, vertices=[vertex], edges=edges, squares=squares)
+    return KGraph(k=k, vertices=["v"], edges=edges, squares=squares)
 
 
-def bouquet(n: int, vertex: str = "v") -> KGraph:
+def bouquet(n: int) -> KGraph:
     """Single vertex, one color, ``n`` loop edges (free words on n letters)."""
-    return single_vertex((n,), theta={}, vertex=vertex)
+    return single_vertex((n,), theta={})
 
 
 def chain(n: int) -> KGraph:

@@ -84,7 +84,7 @@ def _cmd_fock(args):
         fname = os.path.join(args.out, "_".join(word) + ".mtx")
         fock.write_matrix_market(op, fname)
         written.append({"word": list(word), "file": fname,
-                        "nnz": op.nnz, "symbolGrading": op.symbol_grading})
+                        "nnz": op.nnz, "symbolGrading": len(word)})
 
     comm = fock.commutant_residual(space)
     isom = fock.partial_isometry_residual(space)

@@ -73,14 +73,9 @@ class TruncatedFock:
             raise DomainError("truncation grading must be >= 0")
         self.graph = graph
         self.trunc = int(trunc)
-        basis = []
-        for t in range(self.trunc + 1):
-            for n in degree_vectors(graph.k, t):
-                basis.extend(graph.paths_of_degree(n, max_grading=self.trunc))
-        basis.sort(key=Path.sort_key)
-        self.basis = tuple(basis)
-        self._index = {p: i for i, p in enumerate(basis)}
-        self.deltas = np.array([p.delta for p in basis], dtype=np.int64)
+        self.basis = tuple(graph.all_paths_up_to(self.trunc))
+        self._index = {p: i for i, p in enumerate(self.basis)}
+        self.deltas = np.array([p.delta for p in self.basis], dtype=np.int64)
         self._by_grade = {
             t: np.flatnonzero(self.deltas == t) for t in range(self.trunc + 1)
         }
@@ -95,9 +90,6 @@ class TruncatedFock:
             return self._index[path]
         except KeyError:
             raise DomainError(f"{path!r} is not a basis path of this space") from None
-
-    def contains(self, path: Path) -> bool:
-        return path in self._index
 
     def grade_indices(self, t: int) -> np.ndarray:
         return self._by_grade.get(t, np.array([], dtype=np.int64))
@@ -131,9 +123,14 @@ class TruncatedFock:
         return {e.id: c for c, e in enumerate(self.graph.edges)}
 
     @functools.cached_property
+    def vertex_codes(self) -> dict:
+        """Vertex id -> code, in sorted vertex order."""
+        return {v: c for c, v in enumerate(self.graph.vertices)}
+
+    @functools.cached_property
     def ends(self):
-        """Per-basis (source, range) vertex codes; vertices in sorted order."""
-        code = {v: c for c, v in enumerate(self.graph.vertices)}
+        """Per-basis (source, range) vertex codes."""
+        code = self.vertex_codes
         src = np.array([code[p.src] for p in self.basis], dtype=np.int64)
         dst = np.array([code[p.dst] for p in self.basis], dtype=np.int64)
         return src, dst
@@ -172,19 +169,13 @@ class TruncatedFock:
 
 
 class SparseOperator:
-    """A sparse matrix over a TruncatedFock basis.
+    """A sparse matrix over a TruncatedFock basis."""
 
-    ``symbol_grading`` bounds the grading of the creation words the operator
-    is built from (None when unknown, e.g. after an adjoint); interior-block
-    comparisons use it to size the block on which identities must be exact.
-    """
-
-    def __init__(self, space: TruncatedFock, matrix, symbol_grading=None):
+    def __init__(self, space: TruncatedFock, matrix):
         self.space = space
         m = sp.csr_matrix(matrix)
         m.eliminate_zeros()
         self.matrix = m
-        self.symbol_grading = symbol_grading
 
     @property
     def nnz(self) -> int:
@@ -194,42 +185,25 @@ class SparseOperator:
         if self.space is not other.space:
             raise DomainError("operators live on different spaces")
 
-    @staticmethod
-    def _combine_add(a, b):
-        return None if (a is None or b is None) else max(a, b)
-
     def __matmul__(self, other):
         self._same_space(other)
-        g = None
-        if self.symbol_grading is not None and other.symbol_grading is not None:
-            g = self.symbol_grading + other.symbol_grading
-        return SparseOperator(self.space, self.matrix @ other.matrix, g)
+        return SparseOperator(self.space, self.matrix @ other.matrix)
 
     def __add__(self, other):
         self._same_space(other)
-        return SparseOperator(self.space, self.matrix + other.matrix,
-                              self._combine_add(self.symbol_grading, other.symbol_grading))
+        return SparseOperator(self.space, self.matrix + other.matrix)
 
     def __sub__(self, other):
         self._same_space(other)
-        return SparseOperator(self.space, self.matrix - other.matrix,
-                              self._combine_add(self.symbol_grading, other.symbol_grading))
+        return SparseOperator(self.space, self.matrix - other.matrix)
 
     def __mul__(self, scalar):
-        return SparseOperator(self.space, self.matrix * scalar, self.symbol_grading)
+        return SparseOperator(self.space, self.matrix * scalar)
 
     __rmul__ = __mul__
 
     def adjoint(self):
-        return SparseOperator(self.space, self.matrix.conj().T.tocsr(), None)
-
-    def apply(self, vector):
-        return self.matrix @ vector
-
-    def compress(self, margin: int):
-        """Matrix of the compression to the interior block {delta <= N - margin}."""
-        idx = self.space.interior_indices(margin)
-        return self.matrix[idx][:, idx]
+        return SparseOperator(self.space, self.matrix.conj().T.tocsr())
 
     def max_abs(self):
         if self.matrix.nnz == 0:
@@ -237,20 +211,21 @@ class SparseOperator:
         return np.abs(self.matrix.data).max()
 
     def max_abs_interior(self, margin: int):
-        m = self.compress(margin)
+        """Largest entry of the compression to the block {delta <= N - margin}."""
+        idx = self.space.interior_indices(margin)
+        m = self.matrix[idx][:, idx]
         if m.nnz == 0:
             return 0
         return np.abs(m.data).max()
 
     def __repr__(self):
-        return (f"SparseOperator(dim={self.space.dimension}, nnz={self.nnz}, "
-                f"g={self.symbol_grading})")
+        return f"SparseOperator(dim={self.space.dimension}, nnz={self.nnz})"
 
 
-def _edge_arrays(g: KGraph):
+def _edge_arrays(fock: TruncatedFock):
     """Per table row: colour, source and range vertex codes."""
-    code = {v: c for c, v in enumerate(g.vertices)}
-    edges = g.edges
+    code = fock.vertex_codes
+    edges = fock.graph.edges
     return (np.array([e.color for e in edges], dtype=np.int64),
             np.array([code[e.src] for e in edges], dtype=np.int64),
             np.array([code[e.dst] for e in edges], dtype=np.int64))
@@ -261,7 +236,7 @@ def _left_table(fock: TruncatedFock) -> np.ndarray:
     g = fock.graph
     edges = g.edges
     code = fock.edge_codes
-    color, esrc, edst = _edge_arrays(g)
+    color, esrc, edst = _edge_arrays(fock)
     parent, lead = fock.parent_links()
     shape = (len(edges), fock.dimension + 1)
     child = np.full(shape, -1, dtype=np.int64)
@@ -302,7 +277,7 @@ def _right_table(fock: TruncatedFock) -> np.ndarray:
     """right[e, i] = left[lead(i), right[e, parent(i)]], one grade at a time."""
     parent, lead = fock.parent_links()
     left = fock.left
-    _, esrc, edst = _edge_arrays(fock.graph)
+    _, esrc, edst = _edge_arrays(fock)
     right = np.full_like(left, -1)
     # xi_v e is the edge path e = e xi_{s(e)} when e ends at v
     ident = fock.grade_indices(0)  # one identity per vertex, in order
@@ -326,8 +301,7 @@ def _creation_op(fock: TruncatedFock, lam: Path, table, ends, letters) -> Sparse
     """The 0/1 operator taking xi_i to the image of i under ``letters`` in
     ``table``; an identity keeps the xi_i whose ``ends`` is its vertex."""
     if lam.is_identity:
-        img = np.where(ends == fock.graph.vertices.index(lam.src),
-                       np.arange(fock.dimension), -1)
+        img = np.where(ends == fock.vertex_codes[lam.src], np.arange(fock.dimension), -1)
     else:
         code = fock.edge_codes
         img = _images(table, [code[x] for x in letters], np.arange(fock.dimension))
@@ -336,7 +310,7 @@ def _creation_op(fock: TruncatedFock, lam: Path, table, ends, letters) -> Sparse
         (np.ones(len(cols), dtype=np.int64), (img[cols], cols)),
         shape=(fock.dimension, fock.dimension),
     )
-    return SparseOperator(fock, m, symbol_grading=lam.delta)
+    return SparseOperator(fock, m)
 
 
 def left_op(fock: TruncatedFock, what) -> SparseOperator:
@@ -356,16 +330,14 @@ def right_op(fock: TruncatedFock, what) -> SparseOperator:
 
 
 def identity_op(fock: TruncatedFock) -> SparseOperator:
-    return SparseOperator(fock, sp.identity(fock.dimension, dtype=np.int64, format="csr"),
-                          symbol_grading=0)
+    return SparseOperator(fock, sp.identity(fock.dimension, dtype=np.int64, format="csr"))
 
 
 def grading_projection(fock: TruncatedFock, t: int) -> SparseOperator:
     """E_t: the diagonal projection onto the grade-t slice of the basis."""
     diag = np.zeros(fock.dimension, dtype=np.int64)
     diag[fock.grade_indices(t)] = 1
-    return SparseOperator(fock, sp.diags(diag, format="csr", dtype=np.int64),
-                          symbol_grading=0)
+    return SparseOperator(fock, sp.diags(diag, format="csr", dtype=np.int64))
 
 
 def word_op(fock: TruncatedFock, word, base=None) -> SparseOperator:
@@ -409,7 +381,7 @@ def diagonal_part(op: SparseOperator, m: int) -> SparseOperator:
         (coo.data[keep], (coo.row[keep], coo.col[keep])),
         shape=op.matrix.shape,
     )
-    return SparseOperator(fock, mat, op.symbol_grading)
+    return SparseOperator(fock, mat)
 
 
 def cesaro(op: SparseOperator, n: int) -> SparseOperator:
@@ -419,15 +391,13 @@ def cesaro(op: SparseOperator, n: int) -> SparseOperator:
         raise DomainError("Cesaro order must be >= 1")
     fock = op.space
     acc = sp.csr_matrix((fock.dimension, fock.dimension), dtype=np.complex128)
-    top = 0
     for path, a in fourier_series(op).items():
         d = path.delta
         if d >= n or a == 0:
             continue
         weight = 1.0 - d / n
         acc = acc + (weight * complex(a)) * left_op(fock, path).matrix
-        top = max(top, d)
-    return SparseOperator(fock, acc, symbol_grading=top)
+    return SparseOperator(fock, acc)
 
 
 # -- exact structural checks ---------------------------------------------------
@@ -460,7 +430,7 @@ def partial_isometry_residual(fock: TruncatedFock):
     return worst
 
 
-def same_degree_range_conflicts(fock: TruncatedFock, max_grading=None):
+def same_degree_range_conflicts(fock: TruncatedFock):
     """Pairs (lambda != mu, same degree) with non-orthogonal ranges, as
     (first owner, path, basis vector) triples.
 
@@ -470,15 +440,14 @@ def same_degree_range_conflicts(fock: TruncatedFock, max_grading=None):
     bincount finds the basis vectors hit twice.  Triples come in path order,
     then basis order, naming the first path whose range held the vector.
     """
-    cap = fock.trunc if max_grading is None else min(max_grading, fock.trunc)
     g = fock.graph
     parent, lead = fock.parent_links()
     src, dst = fock.ends
     conflicts = []
-    for t in range(cap + 1):
+    for t in range(fock.trunc + 1):
         cols = fock.interior_indices(t)
         for n in degree_vectors(g.k, t):
-            paths = g.paths_of_degree(n, max_grading=cap)
+            paths = g.paths_of_degree(n, max_grading=fock.trunc)
             if len(paths) < 2:
                 continue
             at = np.array([fock.index_of(p) for p in paths], dtype=np.int64)

@@ -40,6 +40,9 @@ __all__ = [
     "sample_variety_points",
 ]
 
+VARIETY_TOL = 1e-9  # largest binomial residual of a point on the variety
+MAX_TAIL_GRADING = 400  # truncation_for_tail gives up beyond this grading
+
 
 def _require_single_vertex(g: KGraph):
     if not g.is_single_vertex:
@@ -131,7 +134,7 @@ def variety_residual(g: KGraph, alpha) -> float:
     return max(abs(b.evaluate(point)) for b in polys)
 
 
-def in_variety(g: KGraph, alpha, tol: float = 1e-9) -> bool:
+def in_variety(g: KGraph, alpha, tol: float = VARIETY_TOL) -> bool:
     return variety_residual(g, alpha) <= tol
 
 
@@ -198,18 +201,18 @@ def _truncated_norm_series(norms_sq, trunc):
     return acc
 
 
-def truncation_for_tail(norms_sq, tol: float, cap: int = 400) -> int:
+def truncation_for_tail(norms_sq, tol: float) -> int:
     """Smallest grading bound whose neglected norm-squared tail is <= tol."""
     norms_sq = [float(r) for r in norms_sq]
     if any(r >= 1.0 for r in norms_sq):
         raise DomainError("need every per-color squared norm < 1")
     closed = float(np.prod([1.0 / (1.0 - r) for r in norms_sq]))
-    layers = _truncated_norm_series(norms_sq, cap)
+    layers = _truncated_norm_series(norms_sq, MAX_TAIL_GRADING)
     partial = np.cumsum(layers)
-    for t in range(cap + 1):
+    for t in range(MAX_TAIL_GRADING + 1):
         if closed - partial[t] <= tol:
             return t
-    raise DomainError(f"tail does not reach {tol} within grading {cap}")
+    raise DomainError(f"tail does not reach {tol} within grading {MAX_TAIL_GRADING}")
 
 
 def character_truncation(norms_sq, word_budget: int, tol: float) -> int:
@@ -259,8 +262,7 @@ def _constant_coordinates(point):
     return out
 
 
-def eigen_residual(g: KGraph, edge_id: str, alpha, trunc: int,
-                   fock=None, variety_tol: float = 1e-9) -> float:
+def eigen_residual(g: KGraph, edge_id: str, alpha, trunc: int, fock=None) -> float:
     """max over delta(lambda) <= trunc-1 of |(L_e* omega)_lambda - alpha_e omega_lambda|.
 
     With a Fock space this is the literal sparse computation.  Without one,
@@ -272,7 +274,7 @@ def eigen_residual(g: KGraph, edge_id: str, alpha, trunc: int,
     point = as_point(g, alpha)
     _check_interior(g, point)
     res = variety_residual(g, point)
-    if res > variety_tol:
+    if res > VARIETY_TOL:
         raise DomainError(f"point is off the variety (residual {res:.3e})")
     e = g.edge(edge_id)
 
@@ -325,7 +327,6 @@ class Character:
 
     graph: KGraph
     point: tuple
-    fock: object = None
     vector: np.ndarray = None
 
     def on_word(self, word) -> complex:
@@ -350,13 +351,13 @@ class Character:
         return complex(np.vdot(self.vector, op.matrix @ self.vector))
 
 
-def character(g: KGraph, alpha, fock=None, tol: float = 1e-9) -> Character:
+def character(g: KGraph, alpha, fock=None) -> Character:
     """Build the character at a point of the closed ball meeting the variety."""
     point = as_point(g, alpha)
     if not in_ball(g, point):
         raise DomainError("point lies outside the closed product ball")
     res = variety_residual(g, point)
-    if res > tol:
+    if res > VARIETY_TOL:
         raise DomainError(
             f"point is off the variety (residual {res:.3e}); no character there"
         )
@@ -364,7 +365,7 @@ def character(g: KGraph, alpha, fock=None, tol: float = 1e-9) -> Character:
     if fock is not None and in_ball(g, point, open_=True):
         vec = omega_vector(fock, conjugate_point(point))
         vec = vec / np.linalg.norm(vec)
-    return Character(graph=g, point=point, fock=fock, vector=vec)
+    return Character(graph=g, point=point, vector=vec)
 
 
 def multiplicativity_check(fock, alpha, grading_budget: int = 3,

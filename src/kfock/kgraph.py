@@ -154,9 +154,12 @@ class KGraph:
         for sq in squares:
             self._anti2norm.setdefault(sq.rhs, sq.lhs)
             self._norm2anti.setdefault(sq.lhs, sq.rhs)
+        self._edges = tuple(sorted(edge_map.values(), key=lambda e: e.id))
+        self._of_color = {c: tuple(e for e in self._edges if e.color == c)
+                          for c in range(1, k + 1)}
         self._out = {v: [] for v in self.vertices}
         self._in = {v: [] for v in self.vertices}
-        for e in sorted(edge_map.values(), key=lambda e: e.id):
+        for e in self._edges:
             self._out[e.src].append(e)
             self._in[e.dst].append(e)
         self._paths_cache = {}
@@ -165,7 +168,7 @@ class KGraph:
 
     @property
     def edges(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self._edge.values(), key=lambda e: e.id))
+        return self._edges
 
     def edge(self, eid: str) -> Edge:
         try:
@@ -177,7 +180,7 @@ class KGraph:
         return eid in self._edge
 
     def edges_of_color(self, color: int) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e.color == color)
+        return self._of_color.get(color, ())
 
     def out_edges(self, v: str, color: int | None = None):
         es = self._out[v]
@@ -185,11 +188,8 @@ class KGraph:
             return tuple(es)
         return tuple(e for e in es if e.color == color)
 
-    def in_edges(self, v: str, color: int | None = None):
-        es = self._in[v]
-        if color is None:
-            return tuple(es)
-        return tuple(e for e in es if e.color == color)
+    def in_edges(self, v: str):
+        return tuple(self._in[v])
 
     def loops_at(self, v: str, color: int | None = None):
         return tuple(e for e in self.out_edges(v, color) if e.dst == v)
@@ -365,18 +365,11 @@ def _square_structure_failures(g: KGraph):
         by_pair.setdefault((i, j), []).append(sq)
     for i, j in itertools.combinations(range(1, g.k + 1), 2):
         sqs = by_pair.get((i, j), [])
-        lhs_expected = {
-            (a.id, b.id)
-            for a in g.edges_of_color(i)
-            for b in g.edges_of_color(j)
-            if a.src == b.dst
-        }
-        rhs_expected = {
-            (b.id, a.id)
-            for b in g.edges_of_color(j)
-            for a in g.edges_of_color(i)
-            if b.src == a.dst
-        }
+        # composable pairs, walking on from the end of the edge applied first
+        lhs_expected = {(a.id, b.id) for b in g.edges_of_color(j)
+                        for a in g.out_edges(b.dst, i)}
+        rhs_expected = {(b.id, a.id) for a in g.edges_of_color(i)
+                        for b in g.out_edges(a.dst, j)}
         lhs_seen = Counter(sq.lhs for sq in sqs)
         rhs_seen = Counter(sq.rhs for sq in sqs)
         for pair, cnt in lhs_seen.items():

@@ -27,6 +27,9 @@ __all__ = [
     "structure_report",
 ]
 
+MAX_CYCLES = 10_000  # primitive cycles enumerated before giving up
+MAX_PRODUCTS = 200_000  # n-fold ideal-word products radical_check may form
+
 
 @dataclass(frozen=True)
 class CycleWitness:
@@ -83,18 +86,17 @@ def is_semisimple(g: KGraph) -> bool:
     return not nc_edges(g)
 
 
-def pure_primitive_cycles(g: KGraph, max_len: int | None = None,
-                          max_count: int = 10000) -> tuple[CycleWitness, ...]:
+def pure_primitive_cycles(g: KGraph) -> tuple[CycleWitness, ...]:
     """All primitive monochromatic cycles, per (vertex, color), first-return
     semantics: the base vertex may not appear strictly inside the cycle.
 
     Length is capped at the number of edges of the color (every cycle that is
-    vertex-simple inside fits, which is all that property detection needs).
+    vertex-simple inside fits, which is all that property detection needs);
+    more than ``MAX_CYCLES`` cycles raise ``BudgetError``.
     """
     found = []
     for color in range(1, g.k + 1):
-        edges_c = g.edges_of_color(color)
-        cap = max_len if max_len is not None else max(len(edges_c), 1)
+        cap = max(len(g.edges_of_color(color)), 1)
         for base in g.vertices:
             # DFS over walks from `base` in this color, closing only at `base`
             stack = [(base, [])]
@@ -106,7 +108,7 @@ def pure_primitive_cycles(g: KGraph, max_len: int | None = None,
                     if e.dst == base:
                         word = tuple(reversed([*applied, e.id]))
                         found.append(CycleWitness(vertex=base, color=color, word=word))
-                        if len(found) > max_count:
+                        if len(found) > MAX_CYCLES:
                             raise BudgetError("primitive cycle enumeration exploded")
                     else:
                         stack.append((e.dst, [*applied, e.id]))
@@ -119,7 +121,7 @@ def _shortest_access_words(g: KGraph, target: str) -> dict:
     best = {target: ()}
     for _ in range(len(g.vertices)):
         changed = False
-        for e in sorted(g.edges, key=lambda e: e.id):
+        for e in g.edges:
             tail = best.get(e.dst)
             if tail is None:
                 continue
@@ -133,14 +135,14 @@ def _shortest_access_words(g: KGraph, target: str) -> dict:
     return best
 
 
-def double_pure_cycle_property(g: KGraph, max_len: int | None = None):
+def double_pure_cycle_property(g: KGraph):
     """Witness for the double pure cycle property, or ``None``.
 
     Requires a vertex carrying two distinct primitive cycles of one color that
     every vertex can reach; this single-target form is what the isometry
     construction consumes.
     """
-    cycles = pure_primitive_cycles(g, max_len=max_len)
+    cycles = pure_primitive_cycles(g)
     by_site = {}
     for c in cycles:
         by_site.setdefault((c.vertex, c.color), []).append(c)
@@ -169,17 +171,17 @@ def _paths_leaving(g: KGraph, v: str, max_grading: int):
     return out
 
 
-def classify_vertices(g: KGraph, relational_budget: int | None = None) -> dict:
+def classify_vertices(g: KGraph) -> dict:
     """Per-vertex flags: radiating, multiplicity-one, relational.
 
     A vertex radiates when every edge into it is a loop; it has multiplicity
     one when it carries at most one loop per color; it is relational when two
     different loops extend to the same path along words that immediately
-    leave the vertex.  The relational search is exhaustive up to a grading
-    budget (default |vertices| + 2); with candidates present but no witness
-    found the flag is reported as "unknown (budget)" rather than False.
+    leave the vertex.  The relational search is exhaustive up to grading
+    |vertices| + 2; with candidates present but no witness found the flag is
+    reported as "unknown (budget)" rather than False.
     """
-    budget = relational_budget if relational_budget is not None else len(g.vertices) + 2
+    budget = len(g.vertices) + 2
     out = {}
     for v in g.vertices:
         radiating = all(e.src == v for e in g.in_edges(v))
@@ -209,7 +211,7 @@ def classify_vertices(g: KGraph, relational_budget: int | None = None) -> dict:
     return out
 
 
-def reflexivity_report(g: KGraph, relational_budget: int | None = None) -> dict:
+def reflexivity_report(g: KGraph) -> dict:
     """Which structural hypotheses hold; verdicts only, no operator theory.
 
     ``reflexiveByThm54`` is conservative: a vertex whose relational flag is
@@ -217,7 +219,7 @@ def reflexivity_report(g: KGraph, relational_budget: int | None = None) -> dict:
     """
     from .builders import transpose
 
-    classes = classify_vertices(g, relational_budget=relational_budget)
+    classes = classify_vertices(g)
     dpc_t = double_pure_cycle_property(transpose(g))
     blocked = sorted(
         v for v, c in classes.items()
@@ -239,10 +241,10 @@ def reflexivity_report(g: KGraph, relational_budget: int | None = None) -> dict:
     }
 
 
-def extremal_factorization_check(g: KGraph, paths, r_max: int = 3) -> bool:
+def extremal_factorization_check(g: KGraph, paths) -> bool:
     """Check that a lexicographically maximal element of a fixed-grading set
     only factors trivially: if its r-th power splits into r members of the
-    set, every factor is the element itself.  Brute force over r <= r_max.
+    set, every factor is the element itself.  Brute force over r <= 3.
     """
     paths = list(paths)
     if not paths:
@@ -251,7 +253,7 @@ def extremal_factorization_check(g: KGraph, paths, r_max: int = 3) -> bool:
     if len(deltas) != 1:
         raise DomainError("all paths must share one grading value")
     gamma = max(paths, key=lambda p: p.degree)
-    for r in range(1, r_max + 1):
+    for r in range(1, 4):
         try:
             target = g.power(gamma, r)
         except CompositionError:
@@ -276,15 +278,15 @@ def extremal_factorization_check(g: KGraph, paths, r_max: int = 3) -> bool:
 
 
 def radical_check(g: KGraph, fock_space, word_grading: int = 2,
-                  ideal_grading: int | None = None,
-                  product_cap: int = 200_000) -> dict:
+                  ideal_grading: int | None = None) -> dict:
     """Exact nilpotency evidence for the ideal generated by no-cycle edges.
 
     Two families of checks on the truncation, both with required residual
     exactly zero: (A L_e)^2 = 0 for every no-cycle edge e and every generator
     word A up to ``word_grading``, and every |vertices|-fold product of ideal
     words (paths with a representative containing a no-cycle edge) vanishes.
-    An empty no-cycle set passes vacuously.
+    An empty no-cycle set passes vacuously.  More than ``MAX_PRODUCTS``
+    products raise ``BudgetError`` before any is formed.
     """
     from . import fock as _fock
 
@@ -323,9 +325,9 @@ def radical_check(g: KGraph, fock_space, word_grading: int = 2,
         key=Path.sort_key,
     )
     report["idealWords"] = len(ideal_paths)
-    if len(ideal_paths) ** n > product_cap:
+    if len(ideal_paths) ** n > MAX_PRODUCTS:
         raise BudgetError(
-            f"{len(ideal_paths)}^{n} ideal-word products exceed the cap {product_cap}"
+            f"{len(ideal_paths)}^{n} ideal-word products exceed the cap {MAX_PRODUCTS}"
         )
     ops = [(p, _fock.left_op(fock_space, p)) for p in ideal_paths]
 
@@ -386,7 +388,7 @@ class StructureReport:
         }
 
 
-def structure_report(g: KGraph, relational_budget: int | None = None) -> StructureReport:
+def structure_report(g: KGraph) -> StructureReport:
     nc = nc_edges(g)
     return StructureReport(
         nc_edges=nc,
@@ -394,6 +396,6 @@ def structure_report(g: KGraph, relational_budget: int | None = None) -> Structu
         radical_generators=nc,
         nilpotency_bound=len(g.vertices),
         double_pure_cycle=double_pure_cycle_property(g),
-        vertex_classes=classify_vertices(g, relational_budget=relational_budget),
-        reflexivity=reflexivity_report(g, relational_budget=relational_budget),
+        vertex_classes=classify_vertices(g),
+        reflexivity=reflexivity_report(g),
     )

@@ -231,7 +231,7 @@ def oracle_validate(g: KGraph, max_grading: int) -> ValidationReport:
                             failures=failures, stats=stats)
 
 
-def _composition_op(space, lam, compose):
+def _composition_op(space, compose):
     rows, cols = [], []
     for col, mu in enumerate(space.basis):
         target = compose(mu)
@@ -242,7 +242,7 @@ def _composition_op(space, lam, compose):
         (np.ones(len(rows), dtype=np.int64), (rows, cols)),
         shape=(space.dimension, space.dimension),
     )
-    return SparseOperator(space, m, symbol_grading=lam.delta)
+    return SparseOperator(space, m)
 
 
 def oracle_left_op(space, what):
@@ -250,7 +250,7 @@ def oracle_left_op(space, what):
     lam = space.as_path(what)
     g = space.graph
     return _composition_op(
-        space, lam, lambda mu: g.compose(lam, mu) if lam.src == mu.dst else None)
+        space, lambda mu: g.compose(lam, mu) if lam.src == mu.dst else None)
 
 
 def oracle_right_op(space, what):
@@ -258,17 +258,16 @@ def oracle_right_op(space, what):
     lam = space.as_path(what)
     g = space.graph
     return _composition_op(
-        space, lam, lambda mu: g.compose(mu, lam) if mu.src == lam.dst else None)
+        space, lambda mu: g.compose(mu, lam) if mu.src == lam.dst else None)
 
 
-def oracle_range_conflicts(space, max_grading=None):
+def oracle_range_conflicts(space):
     """Range-membership scan: per degree, every row of every path's oracle
     operator, remembering the first path that held it."""
-    cap = space.trunc if max_grading is None else min(max_grading, space.trunc)
     conflicts = []
-    for t in range(cap + 1):
+    for t in range(space.trunc + 1):
         for n in degree_vectors(space.graph.k, t):
-            paths = space.graph.paths_of_degree(n, max_grading=cap)
+            paths = space.graph.paths_of_degree(n, max_grading=space.trunc)
             if len(paths) < 2:
                 continue
             owner = {}

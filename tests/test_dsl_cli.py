@@ -139,6 +139,14 @@ def test_cli_fock_exports(tmp_path):
         assert space.basis[r].dst == "x2" and space.basis[c].dst == "x1"
 
 
+def test_cli_fock_symbol_grading_is_word_length(tmp_path):
+    out = tmp_path / "rep.json"
+    assert cli.main(["fock", "cycle", "3", "2", "--trunc", "3", "--op", "e1",
+                     "--op", "f2 e1", "--out", str(tmp_path), "--json", str(out)]) == 0
+    ops = json.loads(out.read_text())["operators"]
+    assert [(o["word"], o["symbolGrading"]) for o in ops] == [(["e1"], 1), (["f2", "e1"], 2)]
+
+
 def test_cli_gelfand_samples(tmp_path):
     out = tmp_path / "g.json"
     code = cli.main(["gelfand", "single-vertex", "2", "2", "cyclic",

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 from kfock import builders, fock
 from kfock.errors import DomainError, UnsupportedGraphError
+from kfock.kgraph import validate
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +85,20 @@ def test_product_law_on_interior_block(cyc_fock):
     prod = fock.left_op(cyc_fock, lam) @ fock.left_op(cyc_fock, mu)
     direct = fock.left_op(cyc_fock, g.compose(lam, mu))
     assert (prod - direct).max_abs_interior(2) == 0
+
+
+@pytest.mark.parametrize("g", [
+    builders.cycle_rank(4, 3),
+    builders.builtin_graph(["product", "f2", "c2", "f1"]),
+    builders.single_vertex((2, 2, 1), builders.random_table((2, 2, 1), 1)),
+    builders.single_vertex((1, 2, 1), builders.random_table((1, 2, 1), 0)),
+], ids=["cycle 4 3", "product f2 c2 f1", "sv(2,2,1) seed 1", "sv(1,2,1) seed 0"])
+def test_exact_checks_vanish_at_rank_3(g):
+    assert validate(g).ok
+    space = fock.TruncatedFock(g, 3)
+    assert fock.commutant_residual(space) == 0
+    assert fock.partial_isometry_residual(space) == 0
+    assert fock.same_degree_range_conflicts(space) == []
 
 
 def test_same_degree_ranges_disjoint(cyc_fock):

@@ -173,3 +173,9 @@ def test_validate_stats_count_pairs_and_critical_words(chain3):
     assert rep.ok
     assert rep.stats["pathsChecked"] == two_color_pairs(cyc) == 24
     assert rep.stats["wordsChecked"] == 4  # one per vertex
+
+
+def test_validate_counts_on_a_long_rank3_cycle():
+    rep = validate(builders.cycle_rank(200, 3))
+    assert rep.ok
+    assert rep.stats == {"pathsChecked": 1200, "wordsChecked": 200, "squares": 600}
