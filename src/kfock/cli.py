@@ -79,7 +79,9 @@ def _cmd_fock(args):
 
     written = []
     for op_spec in args.op or []:
-        word = tuple(op_spec.replace(",", " ").split())
+        # ids of product edges hold commas: split on them only outside an id
+        word = tuple(x for tok in op_spec.split()
+                     for x in ([tok] if g.has_edge(tok) else tok.split(",")) if x)
         op = fock.word_op(space, word)
         fname = os.path.join(args.out, "_".join(word) + ".mtx")
         fock.write_matrix_market(op, fname)
@@ -210,7 +212,9 @@ def _build_parser():
     graph_arg(sp)
     sp.add_argument("--trunc", type=int, default=6)
     sp.add_argument("--op", action="append",
-                    help="edge id or word, e.g. --op e1 --op 'e2 f1'")
+                    help="edge id or word, e.g. --op e1 --op 'e2 f1'; letters "
+                         "are separated by spaces, or by commas in a token "
+                         "that is not an edge id")
     sp.add_argument("--out", default=".", help="output directory")
     sp.set_defaults(func=_cmd_fock, default_grading=6)
 

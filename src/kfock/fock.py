@@ -19,12 +19,14 @@ has the smallest colour of the word:
 
 The factorization property makes these the normal forms of the composed
 words.  A creation operator of a path is the chain of gathers along its word,
-as a 0/1 matrix with at most one entry per column.  Gradings only grow along
-a word, so images beyond the truncation never come back and identities
-between words of the generators hold exactly (integer arithmetic) after
-compressing to the interior block {delta <= N - g}, where g bounds the
-grading of the words involved.  Floating point enters only through scalar
-coefficients (Cesaro weights, user combinations).
+as a 0/1 matrix with at most one entry per column.  The exact checks read
+each operator back as its column -> row map (``image``) and compose maps by
+gathers instead of multiplying matrices.  Gradings only grow along a word, so
+images beyond the truncation never come back and identities between words of
+the generators hold exactly (integer arithmetic) on the interior block
+{delta <= N - g}, where g bounds the grading of the words involved.  Floating
+point enters only through scalar coefficients (Cesaro weights, user
+combinations).
 """
 
 import functools
@@ -33,7 +35,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .errors import DomainError, MalformedGraphError, UnsupportedGraphError
+from .errors import BudgetError, DomainError, MalformedGraphError, UnsupportedGraphError
 from .kgraph import KGraph, Path, degree_vectors
 
 __all__ = [
@@ -48,6 +50,7 @@ __all__ = [
     "fourier_series",
     "cesaro",
     "diagonal_part",
+    "image",
     "commutant_residual",
     "partial_isometry_residual",
     "same_degree_range_conflicts",
@@ -58,19 +61,47 @@ __all__ = [
     "write_basis_manifest",
 ]
 
+MAX_DIMENSION = 1_000_000  # largest basis TruncatedFock builds
+
+
+def _basis_size(graph: KGraph, trunc: int) -> int:
+    """Basis paths of grading <= trunc, counted without building one by the
+    recursion of ``KGraph._paths``: per range vertex, cnt_n = A_c cnt_{n - e_c}
+    with c the smallest colour of n.  Stops after the grade that passes
+    ``MAX_DIMENSION``."""
+    code = {v: i for i, v in enumerate(graph.vertices)}
+    grade = {(0,) * graph.k: [1] * len(code)}
+    total = len(code)
+    for t in range(1, trunc + 1):
+        if total > MAX_DIMENSION or not any(map(any, grade.values())):
+            break
+        prev, grade = grade, {}
+        for n in degree_vectors(graph.k, t):
+            c = next(i for i, x in enumerate(n) if x)
+            sub, cnt = prev[n[:c] + (n[c] - 1,) + n[c + 1:]], [0] * len(code)
+            for e in graph.edges_of_color(c + 1):
+                cnt[code[e.dst]] += sub[code[e.src]]
+            grade[n] = cnt
+            total += sum(cnt)
+    return total
+
 
 class TruncatedFock:
     """Ordered orthonormal basis {xi_lambda : delta(lambda) <= N}.
 
     The basis is sorted by grading, then degree (lexicographic), then word,
     so matrices are reproducible across runs.  Construction assumes the graph
-    has been validated.  ``left`` and ``right`` are the edge-action tables of
-    the module docstring; their rows follow ``edge_codes``.
+    has been validated, and counts the basis first: one of more than
+    ``MAX_DIMENSION`` paths raises ``BudgetError``.  ``left`` and ``right``
+    are the edge-action tables of the module docstring; their rows follow
+    ``edge_codes``.
     """
 
     def __init__(self, graph: KGraph, trunc: int):
         if trunc < 0:
             raise DomainError("truncation grading must be >= 0")
+        if _basis_size(graph, trunc) > MAX_DIMENSION:
+            raise BudgetError(f"a basis of truncation {trunc} has over {MAX_DIMENSION} paths")
         self.graph = graph
         self.trunc = int(trunc)
         self.basis = tuple(graph.all_paths_up_to(self.trunc))
@@ -403,31 +434,43 @@ def cesaro(op: SparseOperator, n: int) -> SparseOperator:
 # -- exact structural checks ---------------------------------------------------
 
 
+def image(op: SparseOperator) -> np.ndarray:
+    """Column -> row map of an operator with at most one entry per column, -1
+    for an empty column, plus one trailing -1 so that ``a[b]`` maps A B."""
+    img = np.full(op.space.dimension + 1, -1, dtype=np.int64)
+    coo = op.matrix.tocoo()
+    img[coo.col] = coo.row
+    return img
+
+
 def commutant_residual(fock: TruncatedFock):
     """Largest interior-block entry of L_a R_b - R_b L_a over all generator
-    pairs; the contract for a valid graph is exactly 0."""
-    worst = 0
+    pairs; exactly 0 on a valid graph.  Letters raise the grading by one, so
+    the block {delta <= N - m}, m = |a| + |b|, is reached only from columns
+    of grading <= N - 2m; the entry is 1 when the two maps differ there."""
     gens = fock.generator_paths()
-    lefts = [(p, left_op(fock, p)) for p in gens]
-    rights = [(p, right_op(fock, p)) for p in gens]
-    for lp, lo in lefts:
-        for rp, ro in rights:
-            diff = lo @ ro - ro @ lo
-            worst = max(worst, diff.max_abs_interior(lp.delta + rp.delta))
-    return worst
+    lefts = [(p.delta, image(left_op(fock, p))) for p in gens]
+    rights = [(p.delta, image(right_op(fock, p))) for p in gens]
+    for da, la in lefts:
+        for db, rb in rights:
+            cols = fock.interior_indices(2 * (da + db))
+            if (la[rb[cols]] != rb[la[cols]]).any():
+                return 1
+    return 0
 
 
 def partial_isometry_residual(fock: TruncatedFock):
     """Max interior residual of L_e* L_e = L_{s(e)} over all edges; exact 0
-    on a valid graph."""
-    g = fock.graph
-    proj = {v: left_op(fock, v) for v in g.vertices}
-    worst = 0
-    for e in g.edges:
-        le = left_op(fock, e.id)
-        diff = le.adjoint() @ le - proj[e.src]
-        worst = max(worst, diff.max_abs_interior(1))
-    return worst
+    on a valid graph.  On {delta <= N - 1} it is 1 when L_e is defined on
+    other columns than L_{s(e)} keeps or two columns share an image."""
+    cols = fock.interior_indices(1)
+    kept = {v: image(left_op(fock, v))[cols] >= 0 for v in fock.graph.vertices}
+    for e in fock.graph.edges:
+        img = image(left_op(fock, e.id))[cols]
+        hit = img[img >= 0]
+        if (kept[e.src] != (img >= 0)).any() or len(np.unique(hit)) < len(hit):
+            return 1
+    return 0
 
 
 def same_degree_range_conflicts(fock: TruncatedFock):
@@ -539,28 +582,22 @@ def verify_cycle_blocks(n: int, k: int, trunc: int) -> dict:
     g = cycle_rank(n, k)
     fock = TruncatedFock(g, trunc)
     vnum = {v: int(v[1:]) for v in g.vertices}  # x7 -> 7
-    row_block = np.array([vnum[p.dst] for p in fock.basis])
-    col_block = row_block  # same labeling; columns indexed by the same basis
+    block = np.array([vnum[p.dst] for p in fock.basis])  # rows and columns alike
 
     gen_blocks = {}
     gen_ok = True
     for e in g.edges:
-        op = left_op(fock, e.id)
-        coo = op.matrix.tocoo()
+        img = image(left_op(fock, e.id))
+        cols = np.flatnonzero(img >= 0)
         i = vnum[e.src]
-        expected = (i % n + 1, i)
-        got = {(int(row_block[r]), int(col_block[c])) for r, c in zip(coo.row, coo.col)}
-        gen_blocks[e.id] = list(expected)
-        if got - {expected}:
-            gen_ok = False
+        gen_blocks[e.id] = [i % n + 1, i]
+        gen_ok &= bool((block[img[cols]] == i % n + 1).all() and (block[cols] == i).all())
 
     proj_ok = True
     for v in g.vertices:
-        coo = left_op(fock, g.identity(v)).matrix.tocoo()
-        if np.any(coo.row != coo.col):
-            proj_ok = False
-        if any(int(row_block[r]) != vnum[v] for r in coo.row):
-            proj_ok = False
+        img = image(left_op(fock, g.identity(v)))
+        cols = np.flatnonzero(img >= 0)
+        proj_ok &= bool((img[cols] == cols).all() and (block[cols] == vnum[v]).all())
 
     congruence_ok = all(
         (p.delta - (vnum[p.dst] - vnum[p.src])) % n == 0 for p in fock.basis

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UnsupportedGraphError
+from .fock import image, left_op
 from .kgraph import KGraph, Path, degree_vectors
 
 __all__ = [
@@ -265,7 +266,7 @@ def _constant_coordinates(point):
 def eigen_residual(g: KGraph, edge_id: str, alpha, trunc: int, fock=None) -> float:
     """max over delta(lambda) <= trunc-1 of |(L_e* omega)_lambda - alpha_e omega_lambda|.
 
-    With a Fock space this is the literal sparse computation.  Without one,
+    With a Fock space this reads the edge's column -> row map.  Without one,
     constant per-color coordinates make all components of one degree class
     equal, so the maximum over the classes is the same quantity (up to
     last-ulp rounding of the scalar vs vectorized multiplies); that route
@@ -284,11 +285,9 @@ def eigen_residual(g: KGraph, edge_id: str, alpha, trunc: int, fock=None) -> flo
         vec = omega_vector(fock, point)
         coord = _coord_map(g, point)[edge_id]
         idx = fock.interior_indices(1)
-        if len(idx) == 0:
-            return 0.0
-        # (L_e* omega)_i = omega at the index of e xi_i, read off the table
-        adj = np.append(vec, 0.0)[fock.left[fock.edge_codes[edge_id], idx]]
-        return float(np.abs(adj - coord * vec[idx]).max())
+        # (L_e* omega)_i = omega at the index of e xi_i
+        adj = np.append(vec, 0.0)[image(left_op(fock, edge_id))[idx]]
+        return float(np.abs(adj - coord * vec[idx]).max(initial=0.0))
 
     consts = _constant_coordinates(point)
     if consts is None:
@@ -378,19 +377,19 @@ def multiplicativity_check(fock, alpha, grading_budget: int = 3,
     g = fock.graph
     point = as_point(g, alpha)
     _check_interior(g, point)
-    from .fock import left_op
 
     vec = omega_vector(fock, conjugate_point(point))
     vec = vec / np.linalg.norm(vec)
 
     words = [fock.basis[i] for i in np.flatnonzero(fock.deltas <= grading_budget)]
-    mats = [left_op(fock, p).matrix for p in words]
-    dim = fock.dimension
-    U = np.empty((len(words), dim), dtype=complex)
-    Y = np.empty((len(words), dim), dtype=complex)
-    for i, m in enumerate(mats):
-        U[i] = m @ vec
-        Y[i] = m.T @ vec
+    padded = np.append(vec, 0.0)
+    U = np.zeros((len(words), fock.dimension), dtype=complex)
+    Y = np.empty_like(U)
+    for i, p in enumerate(words):
+        img = image(left_op(fock, p))[:-1]
+        cols = np.flatnonzero(img >= 0)
+        np.add.at(U[i], img[cols], vec[cols])  # U[i] = L_p nu
+        Y[i] = padded[img]  # Y[i] = L_p^T nu
     rho = np.conj(vec) @ U.T  # rho[i] = <L_i nu, nu>
     pair = np.conj(Y) @ U.T  # pair[i, j] = <L_i L_j nu, nu>
     resid = np.abs(pair - np.outer(rho, rho))

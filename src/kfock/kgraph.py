@@ -297,6 +297,7 @@ class KGraph:
         Generation is graded: a sorted word of positive degree is one edge of
         its minimal color prepended to a shorter sorted word, so extending by
         exactly that color enumerates each class once with no rewriting.
+        Edges in id order times shorter paths in word order come out sorted.
         """
         n = _check_degree(self.k, n)
         if sum(n) > max_grading:
@@ -322,17 +323,18 @@ class KGraph:
                     if e.src == p.dst:
                         found.append(Path(src=p.src, dst=e.dst,
                                           word=(e.id,) + p.word, degree=n))
-            out = tuple(sorted(found, key=Path.sort_key))
+            out = tuple(found)
         self._paths_cache[n] = out
         return out
 
     def all_paths_up_to(self, max_grading: int):
-        """All canonical paths with grading at most ``max_grading``, sorted."""
+        """All canonical paths with grading at most ``max_grading``, in
+        ``Path.sort_key`` order (reversed ``degree_vectors`` is ascending)."""
         out = []
         for t in range(max_grading + 1):
-            for n in degree_vectors(self.k, t):
+            for n in reversed(tuple(degree_vectors(self.k, t))):
                 out.extend(self.paths_of_degree(n, max_grading=max_grading))
-        return sorted(out, key=Path.sort_key)
+        return out
 
 
 # -- validation --------------------------------------------------------------

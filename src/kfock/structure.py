@@ -304,12 +304,13 @@ def radical_check(g: KGraph, fock_space, word_grading: int = 2,
         report["ok"] = True
         return report
 
-    gen_words = g.all_paths_up_to(word_grading)
+    gens = [(p, _fock.image(_fock.left_op(fock_space, p)))
+            for p in g.all_paths_up_to(word_grading)]
     for eid in nc:
-        L = _fock.left_op(fock_space, eid)
-        for p in gen_words:
-            M = _fock.left_op(fock_space, p) @ L
-            if (M @ M).max_abs() != 0:
+        le = _fock.image(_fock.left_op(fock_space, eid))
+        for p, lp in gens:
+            m = lp[le]
+            if (m[m] >= 0).any():
                 report["squareZeroFailures"].append(
                     {"edge": eid, "word": list(p.word) or [p.src]}
                 )
@@ -329,26 +330,19 @@ def radical_check(g: KGraph, fock_space, word_grading: int = 2,
         raise BudgetError(
             f"{len(ideal_paths)}^{n} ideal-word products exceed the cap {MAX_PRODUCTS}"
         )
-    ops = [(p, _fock.left_op(fock_space, p)) for p in ideal_paths]
-
-    def descend(prefix_words, mat, depth):
-        if depth == n:
-            report["nFoldChecked"] += 1
-            if mat.max_abs() != 0:
-                report["nFoldFailures"].append([list(w.word) for w in prefix_words])
-            return
-        for p, op in ops:
-            nxt = mat @ op
-            if nxt.nnz == 0:
-                report["nFoldChecked"] += len(ops) ** (n - depth - 1)
-                continue
-            descend([*prefix_words, p], nxt, depth + 1)
-
-    for p, op in ops:
-        if op.nnz == 0:
-            report["nFoldChecked"] += len(ops) ** (n - 1)
+    ops = [(p, _fock.image(_fock.left_op(fock_space, p))) for p in ideal_paths]
+    report["nFoldChecked"] = len(ops) ** n
+    # depth first in lexicographic order, extending only nonzero products
+    stack = [((), _fock.image(_fock.identity_op(fock_space)))]
+    while stack:
+        words, prod = stack.pop()
+        if len(words) == n:
+            report["nFoldFailures"].append([list(w.word) for w in words])
             continue
-        descend([p], op, 1)
+        for p, op in reversed(ops):
+            nxt = prod[op]
+            if (nxt >= 0).any():
+                stack.append(((*words, p), nxt))
 
     report["ok"] = not report["squareZeroFailures"] and not report["nFoldFailures"]
     return report

@@ -3,7 +3,8 @@
 The oracles deliberately avoid the library's own shortcuts: class counting
 closes raw words under single square applications in both directions, cycle
 detection enumerates closed walks, creation operators compose paths one
-basis vector at a time instead of reading the edge-action tables, and
+basis vector at a time instead of reading the edge-action tables, the exact
+checks multiply sparse matrices instead of composing column -> row maps, and
 validity is searched grading by grading (factorization counts and every
 rewrite order of every raw word) instead of by critical words.  Tests
 compare library output against these.
@@ -16,18 +17,20 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from kfock import builders
-from kfock.errors import MalformedGraphError
+from kfock import builders, fock, gelfand
+from kfock.errors import BudgetError, MalformedGraphError
 from kfock.fock import SparseOperator
 from kfock.kgraph import (
     CommutationSquare,
     Edge,
     KGraph,
+    Path,
     ValidationReport,
     _square_structure_failures,
     degree_vectors,
     validate,
 )
+from kfock.structure import MAX_PRODUCTS, nc_edges
 
 
 # -- graphs used across the suite ---------------------------------------------
@@ -277,6 +280,126 @@ def oracle_range_conflicts(space):
                     if prev != p:
                         conflicts.append((prev, p, space.basis[int(r)]))
     return conflicts
+
+
+def oracle_commutant_residual(space):
+    """Largest interior-block entry of L_a R_b - R_b L_a over all generator
+    pairs, by sparse matrix products."""
+    worst = 0
+    gens = space.generator_paths()
+    lefts = [(p, fock.left_op(space, p)) for p in gens]
+    rights = [(p, fock.right_op(space, p)) for p in gens]
+    for lp, lo in lefts:
+        for rp, ro in rights:
+            diff = lo @ ro - ro @ lo
+            worst = max(worst, diff.max_abs_interior(lp.delta + rp.delta))
+    return worst
+
+
+def oracle_partial_isometry_residual(space):
+    """Max interior residual of L_e* L_e - L_{s(e)}, by sparse products."""
+    g = space.graph
+    proj = {v: fock.left_op(space, v) for v in g.vertices}
+    worst = 0
+    for e in g.edges:
+        le = fock.left_op(space, e.id)
+        diff = le.adjoint() @ le - proj[e.src]
+        worst = max(worst, diff.max_abs_interior(1))
+    return worst
+
+
+def oracle_radical_check(g, space, word_grading=2, ideal_grading=None):
+    """``structure.radical_check`` by sparse products: (A L_e)^2 as matrices,
+    and a recursive search over the n-fold products of ideal words that counts
+    the products under a vanishing prefix as checked without forming them."""
+    nc = nc_edges(g)
+    n = len(g.vertices)
+    report = {"ncEdges": list(nc), "nilpotencyBound": n, "squareZeroChecked": 0,
+              "squareZeroFailures": [], "nFoldChecked": 0, "nFoldFailures": []}
+    if not nc:
+        report["ok"] = True
+        return report
+    gen_words = g.all_paths_up_to(word_grading)
+    for eid in nc:
+        L = fock.left_op(space, eid)
+        for p in gen_words:
+            M = fock.left_op(space, p) @ L
+            if (M @ M).max_abs() != 0:
+                report["squareZeroFailures"].append({"edge": eid, "word": list(p.word) or [p.src]})
+            report["squareZeroChecked"] += 1
+
+    budget = ideal_grading if ideal_grading is not None else space.trunc
+    shorter = g.all_paths_up_to(budget - 1)
+    ideal_paths = sorted(
+        {g.normal_form(mu.word + (eid,) + nu.word)
+         for eid in nc for nu in shorter if nu.dst == g.edge(eid).src
+         for mu in shorter if mu.src == g.edge(eid).dst and mu.delta + nu.delta < budget},
+        key=Path.sort_key,
+    )
+    report["idealWords"] = len(ideal_paths)
+    if len(ideal_paths) ** n > MAX_PRODUCTS:
+        raise BudgetError("too many ideal-word products")
+    ops = [(p, fock.left_op(space, p)) for p in ideal_paths]
+
+    def descend(prefix_words, mat, depth):
+        if depth == n:
+            report["nFoldChecked"] += 1
+            if mat.max_abs() != 0:
+                report["nFoldFailures"].append([list(w.word) for w in prefix_words])
+            return
+        for p, op in ops:
+            nxt = mat @ op
+            if nxt.nnz == 0:
+                report["nFoldChecked"] += len(ops) ** (n - depth - 1)
+                continue
+            descend([*prefix_words, p], nxt, depth + 1)
+
+    for p, op in ops:
+        if op.nnz == 0:
+            report["nFoldChecked"] += len(ops) ** (n - 1)
+            continue
+        descend([p], op, 1)
+    report["ok"] = not report["squareZeroFailures"] and not report["nFoldFailures"]
+    return report
+
+
+def oracle_multiplicativity_check(space, alpha, grading_budget=3, tol=1e-9):
+    """``gelfand.multiplicativity_check`` with L nu and L^T nu as sparse
+    matrix-vector products."""
+    g = space.graph
+    point = gelfand.as_point(g, alpha)
+    vec = gelfand.omega_vector(space, gelfand.conjugate_point(point))
+    vec = vec / np.linalg.norm(vec)
+    words = [space.basis[i] for i in np.flatnonzero(space.deltas <= grading_budget)]
+    U = np.empty((len(words), space.dimension), dtype=complex)
+    Y = np.empty_like(U)
+    for i, p in enumerate(words):
+        m = fock.left_op(space, p).matrix
+        U[i] = m @ vec
+        Y[i] = m.T @ vec
+    rho = np.conj(vec) @ U.T
+    pair = np.conj(Y) @ U.T
+    resid = np.abs(pair - np.outer(rho, rho))
+    worst = float(resid.max())
+    wi, wj = np.unravel_index(int(resid.argmax()), resid.shape)
+    coords = gelfand._coord_map(g, point)
+    phi_err = 0.0
+    for i, p in enumerate(words):
+        if p.delta == 1:
+            phi_err = max(phi_err, abs(rho[i] - coords[p.word[0]]))
+    return {
+        "trunc": space.trunc,
+        "gradingBudget": grading_budget,
+        "wordCount": len(words),
+        "maxResidual": worst,
+        "worstPair": [list(words[wi].word) or [words[wi].src],
+                      list(words[wj].word) or [words[wj].src]],
+        "phiRecoveryError": float(phi_err),
+        "varietyResidual": gelfand.variety_residual(g, point),
+        "onVariety": gelfand.in_variety(g, point, tol),
+        "ballNorms": list(gelfand.ball_norms(g, point)),
+        "multiplicativeWithin": worst <= tol,
+    }
 
 
 # -- seeded random k-graphs -----------------------------------------------------

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from kfock import builders, cli, dsl
+from kfock import builders, cli, dsl, fock
 from kfock.errors import SpecSyntaxError
 from kfock.kgraph import validate
 
@@ -145,6 +145,29 @@ def test_cli_fock_symbol_grading_is_word_length(tmp_path):
                      "--op", "f2 e1", "--out", str(tmp_path), "--json", str(out)]) == 0
     ops = json.loads(out.read_text())["operators"]
     assert [(o["word"], o["symbolGrading"]) for o in ops] == [(["e1"], 1), (["f2", "e1"], 2)]
+
+
+def test_cli_fock_op_splits_on_commas_only_outside_edge_ids(tmp_path):
+    out = tmp_path / "rep.json"
+    assert cli.main(["fock", "product", "f2", "c2", "f1", "--trunc", "3",
+                     "--op", "e1.1(x1,v)", "--op", "e1.2(v,v) e1.1(x1,v)",
+                     "--out", str(tmp_path), "--json", str(out)]) == 0
+    ops = json.loads(out.read_text())["operators"]
+    assert [o["word"] for o in ops] == [["e1.1(x1,v)"], ["e1.2(v,v)", "e1.1(x1,v)"]]
+    assert (tmp_path / "e1.2(v,v)_e1.1(x1,v).mtx").exists()
+    assert cli.main(["fock", "cycle", "3", "2", "--trunc", "3", "--op", "f2,e1",
+                     "--out", str(tmp_path), "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["operators"][0]["word"] == ["f2", "e1"]
+
+
+def test_cli_gelfand_refuses_an_oversized_basis(capsys):
+    # the tail bound picks truncation 12, a basis of 2,375,101 paths; the
+    # first assert keeps a raised cap from running the command at that size
+    g = builders.builtin_graph(["single-vertex", "2", "3", "cyclic"])
+    assert fock._basis_size(g, 12) > fock.MAX_DIMENSION
+    assert cli.main(["gelfand", "single-vertex", "2", "3", "cyclic",
+                     "--samples", "2", "--seed", "3"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "BudgetError"
 
 
 def test_cli_gelfand_samples(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from kfock import builders, fock
-from kfock.errors import DomainError, UnsupportedGraphError
+from kfock.errors import BudgetError, DomainError, UnsupportedGraphError
 from kfock.kgraph import validate
 
 
@@ -24,6 +24,25 @@ def test_basis_is_sorted_and_indexed(cyc_fock):
     assert keys == sorted(keys)
     for i, p in enumerate(cyc_fock.basis):
         assert cyc_fock.index_of(p) == i
+
+
+def test_basis_count_equals_dimension():
+    from test_acceptance import _suite_graphs
+
+    k3 = [builders.single_vertex(shape, builders.random_table(shape, seed))
+          for shape, seed in (((2, 2, 1), 1), ((1, 2, 1), 0))]
+    for g in [g for _, g in _suite_graphs()] + k3:
+        assert validate(g).ok
+        for trunc in range(7):
+            assert fock._basis_size(g, trunc) == fock.TruncatedFock(g, trunc).dimension
+
+
+def test_oversized_basis_is_refused_before_enumeration():
+    g = builders.builtin_graph(["single-vertex", "2", "3", "cyclic"])
+    assert fock._basis_size(g, 11) == 788_970 <= fock.MAX_DIMENSION
+    with pytest.raises(BudgetError):
+        fock.TruncatedFock(g, 12)  # 2,375,101 paths
+    assert g._paths_cache == {}
 
 
 def test_grading_projections_partition(cyc_fock):

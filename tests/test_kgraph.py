@@ -5,7 +5,7 @@ import pytest
 from conftest import closure_class_count, raw_words_of_degree
 from kfock import builders
 from kfock.errors import BudgetError, CompositionError, MalformedGraphError
-from kfock.kgraph import CommutationSquare, Edge, KGraph, degree_vectors, validate
+from kfock.kgraph import CommutationSquare, Edge, KGraph, Path, degree_vectors, validate
 
 
 def test_identity_is_unit(cycle32):
@@ -87,6 +87,16 @@ def test_enumeration_budget():
     with pytest.raises(BudgetError):
         g.paths_of_degree((9,))
     assert len(g.paths_of_degree((9,), max_grading=9)) == 512
+
+
+def test_enumeration_comes_out_sorted():
+    from test_acceptance import _suite_graphs
+
+    k3 = [builders.single_vertex(shape, builders.random_table(shape, seed))
+          for shape, seed in (((2, 2, 1), 1), ((1, 2, 1), 0))]
+    for g in [g for _, g in _suite_graphs()] + k3:
+        paths = g.all_paths_up_to(6)
+        assert paths == sorted(paths, key=Path.sort_key)
 
 
 def test_enumeration_against_word_closure_oracle(chain3, cycle32, f2xf3, sv22_cyclic):
