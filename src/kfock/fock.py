@@ -1,15 +1,19 @@
 """Truncated Fock space over a k-graph and exact sparse operator checks.
 
-The basis is every canonical (colour-sorted) path of grading at most N.  The
-space holds one representation that every operator is read from: integer
-edge-action tables
+The basis is every canonical (colour-sorted) path of grading at most N, held
+as integer arrays over basis indices: ``parent(i)`` (the basis path with the
+leftmost letter stripped), ``lead(i)`` (that letter, which has the smallest
+colour of the word), the source and range vertex codes and the grading.  They
+are built grade by grade with the recursion of ``KGraph._paths``, so each
+degree is one contiguous run of indices; the size of a grade is known before
+it is allocated.  ``basis[i]`` rebuilds a ``Path`` from the parent chain on
+demand.  The space holds one representation that every operator is read
+from: integer edge-action tables
 
     left[e, i]  = index of e xi_i      right[e, i] = index of xi_i e
 
 with -1 where the edges do not compose or the image lies beyond N.  They are
-built once, lazily, grade by grade from the links ``parent(i)`` (the basis
-path with the leftmost letter stripped) and ``lead(i)`` (that letter), which
-has the smallest colour of the word:
+built once, lazily, grade by grade from the links:
 
 * ``child[e, p]`` is the index of e xi_p when that word is already sorted;
 * if colour(e) <= colour(lead(i)), ``left[e, i] = child[e, i]``;
@@ -18,18 +22,20 @@ has the smallest colour of the word:
 * ``right[e, i] = left[lead(i), right[e, parent(i)]]``.
 
 The factorization property makes these the normal forms of the composed
-words.  A creation operator of a path is the chain of gathers along its word,
-as a 0/1 matrix with at most one entry per column.  The exact checks read
-each operator back as its column -> row map (``image``) and compose maps by
-gathers instead of multiplying matrices.  Gradings only grow along a word, so
-images beyond the truncation never come back and identities between words of
-the generators hold exactly (integer arithmetic) on the interior block
+words.  A creation operator of a path is the chain of gathers along its word:
+a 0/1 operator with at most one entry per column that holds its column -> row
+map and builds its CSR matrix only when arithmetic or an export reads it.
+The exact checks take that map (``image``) and compose maps by gathers
+instead of multiplying matrices.  Gradings only grow along a word, so images
+beyond the truncation never come back and identities between words of the
+generators hold exactly (integer arithmetic) on the interior block
 {delta <= N - g}, where g bounds the grading of the words involved.  Floating
 point enters only through scalar coefficients (Cesaro weights, user
 combinations).
 """
 
 import functools
+from collections.abc import Sequence
 
 import numpy as np
 import scipy.io
@@ -64,66 +70,116 @@ __all__ = [
 MAX_DIMENSION = 1_000_000  # largest basis TruncatedFock builds
 
 
-def _basis_size(graph: KGraph, trunc: int) -> int:
-    """Basis paths of grading <= trunc, counted without building one by the
-    recursion of ``KGraph._paths``: per range vertex, cnt_n = A_c cnt_{n - e_c}
-    with c the smallest colour of n.  Stops after the grade that passes
-    ``MAX_DIMENSION``."""
-    code = {v: i for i, v in enumerate(graph.vertices)}
-    grade = {(0,) * graph.k: [1] * len(code)}
-    total = len(code)
-    for t in range(1, trunc + 1):
-        if total > MAX_DIMENSION or not any(map(any, grade.values())):
-            break
-        prev, grade = grade, {}
-        for n in degree_vectors(graph.k, t):
-            c = next(i for i, x in enumerate(n) if x)
-            sub, cnt = prev[n[:c] + (n[c] - 1,) + n[c + 1:]], [0] * len(code)
-            for e in graph.edges_of_color(c + 1):
-                cnt[code[e.dst]] += sub[code[e.src]]
-            grade[n] = cnt
-            total += sum(cnt)
-    return total
+class _Basis(Sequence):
+    """Read-only view of a space's basis paths.  Nothing is stored: item i is
+    rebuilt from the parent chain of i on each access."""
+
+    def __init__(self, space):
+        self._space = space
+
+    def __len__(self):
+        return self._space.dimension
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        g = self._space.graph  # the arrays raise IndexError past either end
+        parent, lead = self._space.parent_links()
+        src, dst = self._space.ends
+        word = []
+        j = i
+        while parent[j] >= 0:
+            word.append(g.edges[lead[j]].id)
+            j = parent[j]
+        if not word:
+            return g.identity(g.vertices[src[i]])
+        return Path(src=g.vertices[src[i]], dst=g.vertices[dst[i]],
+                    word=tuple(word), degree=g.word_degree(word))
 
 
 class TruncatedFock:
     """Ordered orthonormal basis {xi_lambda : delta(lambda) <= N}.
 
     The basis is sorted by grading, then degree (lexicographic), then word,
-    so matrices are reproducible across runs.  Construction assumes the graph
-    has been validated, and counts the basis first: one of more than
-    ``MAX_DIMENSION`` paths raises ``BudgetError``.  ``left`` and ``right``
-    are the edge-action tables of the module docstring; their rows follow
-    ``edge_codes``.
+    so matrices are reproducible across runs.  It is held as integer arrays
+    over basis indices: ``parent_links()``, ``ends`` and ``deltas``, and each
+    degree's contiguous run of indices in ``blocks``.  ``basis`` rebuilds a
+    ``Path`` on each access.  Construction assumes the graph has been
+    validated; a basis of more than ``MAX_DIMENSION`` paths raises
+    ``BudgetError`` before the grade that passes the cap is allocated.
+    ``left`` and ``right`` are the edge-action tables of the module
+    docstring; their rows follow ``edge_codes``.
     """
 
     def __init__(self, graph: KGraph, trunc: int):
         if trunc < 0:
             raise DomainError("truncation grading must be >= 0")
-        if _basis_size(graph, trunc) > MAX_DIMENSION:
-            raise BudgetError(f"a basis of truncation {trunc} has over {MAX_DIMENSION} paths")
         self.graph = graph
         self.trunc = int(trunc)
-        self.basis = tuple(graph.all_paths_up_to(self.trunc))
-        self._index = {p: i for i, p in enumerate(self.basis)}
-        self.deltas = np.array([p.delta for p in self.basis], dtype=np.int64)
-        self._by_grade = {
-            t: np.flatnonzero(self.deltas == t) for t in range(self.trunc + 1)
-        }
-        self._links = None
+        _, esrc, edst = _edge_arrays(self)
+        code = self.edge_codes
+        of_color = [np.array([code[e.id] for e in graph.edges_of_color(c)], dtype=np.int64)
+                    for c in range(1, graph.k + 1)]
+        nv = len(graph.vertices)
+        src = dst = np.arange(nv)  # of the previous grade
+        grades = [(np.full(nv, -1), np.full(nv, -1), src, dst)]  # parent, lead, src, dst
+        self.blocks = {(0,) * graph.k: (0, nv)}  # degree -> (start, stop)
+        self._grades = [(0, nv)]
+        for t in range(1, self.trunc + 1):
+            # the recursion of KGraph._paths: the colour-c edges in id order,
+            # each followed by the degree-(n - e_c) paths that end at its source
+            start, total = self._grades[-1]
+            plan = []
+            for n in reversed(tuple(degree_vectors(graph.k, t))):
+                c = next(i for i, x in enumerate(n) if x)
+                lo, hi = self.blocks[n[:c] + (n[c] - 1,) + n[c + 1:]]
+                sub = dst[lo - start:hi - start]
+                count = np.bincount(sub, minlength=nv)
+                plan.append((n, lo, sub, count, of_color[c], count[esrc[of_color[c]]]))
+            if total + sum(int(per_edge.sum()) for *_, per_edge in plan) > MAX_DIMENSION:
+                raise BudgetError(f"a basis of truncation {trunc} has over {MAX_DIMENSION} paths")
+            parents, leads = [], []
+            for n, lo, sub, count, es, per_edge in plan:
+                by_range = np.argsort(sub, kind="stable")
+                first = np.cumsum(count) - count  # each range vertex's run in by_range
+                at = np.repeat(first[esrc[es]] - (np.cumsum(per_edge) - per_edge), per_edge)
+                parents.append(lo + by_range[at + np.arange(len(at))])
+                leads.append(np.repeat(es, per_edge))
+                self.blocks[n] = (total, total + len(at))
+                total += len(at)
+            p, e = np.concatenate(parents), np.concatenate(leads)
+            src, dst = src[p - start], edst[e]
+            grades.append((p, e, src, dst))
+            self._grades.append((self._grades[-1][1], total))
+        parent, lead, src, dst = (np.concatenate(a) for a in zip(*grades))
+        self._links = (parent, lead)
+        self.ends = (src, dst)
+        self.deltas = np.repeat(np.arange(self.trunc + 1),
+                                [stop - start for start, stop in self._grades])
+
+    @property
+    def basis(self) -> _Basis:
+        return _Basis(self)  # a new view each time: a stored one would be a reference cycle
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.deltas)
 
     def index_of(self, path: Path) -> int:
-        try:
-            return self._index[path]
-        except KeyError:
-            raise DomainError(f"{path!r} is not a basis path of this space") from None
+        """Basis index of a path: its word applied through ``left`` to the
+        identity of its source, checked against the path rebuilt there."""
+        code = self.edge_codes
+        i = self.vertex_codes.get(path.src, -1)
+        for eid in reversed(path.word):
+            i = int(self.left[code[eid], i]) if i >= 0 and eid in code else -1
+        if i < 0 or self.basis[i] != path:
+            raise DomainError(f"{path!r} is not a basis path of this space")
+        return i
 
     def grade_indices(self, t: int) -> np.ndarray:
-        return self._by_grade.get(t, np.array([], dtype=np.int64))
+        if not 0 <= t <= self.trunc:
+            return np.array([], dtype=np.int64)
+        return np.arange(*self._grades[t])
 
     def interior_indices(self, margin: int) -> np.ndarray:
         return np.flatnonzero(self.deltas <= self.trunc - margin)
@@ -158,30 +214,12 @@ class TruncatedFock:
         """Vertex id -> code, in sorted vertex order."""
         return {v: c for c, v in enumerate(self.graph.vertices)}
 
-    @functools.cached_property
-    def ends(self):
-        """Per-basis (source, range) vertex codes."""
-        code = self.vertex_codes
-        src = np.array([code[p.src] for p in self.basis], dtype=np.int64)
-        dst = np.array([code[p.dst] for p in self.basis], dtype=np.int64)
-        return src, dst
-
     def parent_links(self):
         """Per-basis arrays (parent index, leading edge code) for recursions
         along 'strip the leftmost letter'; identities get parent -1.
 
         Edge codes index ``sorted(edge ids)``.
         """
-        if self._links is None:
-            key = {(p.word, p.src): i for i, p in enumerate(self.basis)}
-            code = self.edge_codes
-            parent = np.full(self.dimension, -1, dtype=np.int64)
-            lead = np.full(self.dimension, -1, dtype=np.int64)
-            for i, p in enumerate(self.basis):
-                if p.word:
-                    parent[i] = key[(p.word[1:], p.src)]
-                    lead[i] = code[p.word[0]]
-            self._links = (parent, lead)
         return self._links
 
     @functools.cached_property
@@ -200,16 +238,35 @@ class TruncatedFock:
 
 
 class SparseOperator:
-    """A sparse matrix over a TruncatedFock basis."""
+    """A sparse matrix over a TruncatedFock basis.
 
-    def __init__(self, space: TruncatedFock, matrix):
+    A creation operator is given by its column -> row map instead (see
+    ``image``); its CSR matrix is built when first read.
+    """
+
+    def __init__(self, space: TruncatedFock, matrix=None, image=None):
         self.space = space
-        m = sp.csr_matrix(matrix)
-        m.eliminate_zeros()
-        self.matrix = m
+        self._image = image
+        self._matrix = None
+        if matrix is not None:
+            self._matrix = sp.csr_matrix(matrix)
+            self._matrix.eliminate_zeros()
+
+    @property
+    def matrix(self):
+        if self._matrix is None:
+            img = self._image[:-1]
+            cols = np.flatnonzero(img >= 0)
+            self._matrix = sp.csr_matrix(
+                (np.ones(len(cols), dtype=np.int64), (img[cols], cols)),
+                shape=(self.space.dimension, self.space.dimension),
+            )
+        return self._matrix
 
     @property
     def nnz(self) -> int:
+        if self._image is not None:
+            return int(np.count_nonzero(self._image >= 0))
         return self.matrix.nnz
 
     def _same_space(self, other):
@@ -332,16 +389,15 @@ def _creation_op(fock: TruncatedFock, lam: Path, table, ends, letters) -> Sparse
     """The 0/1 operator taking xi_i to the image of i under ``letters`` in
     ``table``; an identity keeps the xi_i whose ``ends`` is its vertex."""
     if lam.is_identity:
-        img = np.where(ends == fock.vertex_codes[lam.src], np.arange(fock.dimension), -1)
+        img = np.full(fock.dimension + 1, -1)
+        kept = np.flatnonzero(ends == fock.vertex_codes[lam.src])
+        img[kept] = kept
     else:
         code = fock.edge_codes
-        img = _images(table, [code[x] for x in letters], np.arange(fock.dimension))
-    cols = np.flatnonzero(img >= 0)
-    m = sp.csr_matrix(
-        (np.ones(len(cols), dtype=np.int64), (img[cols], cols)),
-        shape=(fock.dimension, fock.dimension),
-    )
-    return SparseOperator(fock, m)
+        # column `dimension` of a table is -1, so the trailing entry stays -1
+        img = _images(table, [code[x] for x in letters], np.arange(fock.dimension + 1))
+    img.flags.writeable = False
+    return SparseOperator(fock, image=img)
 
 
 def left_op(fock: TruncatedFock, what) -> SparseOperator:
@@ -436,7 +492,10 @@ def cesaro(op: SparseOperator, n: int) -> SparseOperator:
 
 def image(op: SparseOperator) -> np.ndarray:
     """Column -> row map of an operator with at most one entry per column, -1
-    for an empty column, plus one trailing -1 so that ``a[b]`` maps A B."""
+    for an empty column, plus one trailing -1 so that ``a[b]`` maps A B.  A
+    creation operator returns the read-only map it holds."""
+    if op._image is not None:
+        return op._image
     img = np.full(op.space.dimension + 1, -1, dtype=np.int64)
     coo = op.matrix.tocoo()
     img[coo.col] = coo.row
@@ -490,10 +549,11 @@ def same_degree_range_conflicts(fock: TruncatedFock):
     for t in range(fock.trunc + 1):
         cols = fock.interior_indices(t)
         for n in degree_vectors(g.k, t):
-            paths = g.paths_of_degree(n, max_grading=fock.trunc)
-            if len(paths) < 2:
+            start, stop = fock.blocks[n]
+            if stop - start < 2:
                 continue
-            at = np.array([fock.index_of(p) for p in paths], dtype=np.int64)
+            paths = g.paths_of_degree(n, max_grading=fock.trunc)  # named in the triples
+            at = np.arange(start, stop)
             img = np.where(dst[cols] == src[at][:, None], cols, -1)
             letters = []  # every path's word, leftmost letter first
             for _ in range(t):
@@ -582,7 +642,9 @@ def verify_cycle_blocks(n: int, k: int, trunc: int) -> dict:
     g = cycle_rank(n, k)
     fock = TruncatedFock(g, trunc)
     vnum = {v: int(v[1:]) for v in g.vertices}  # x7 -> 7
-    block = np.array([vnum[p.dst] for p in fock.basis])  # rows and columns alike
+    num = np.array([vnum[v] for v in g.vertices])  # by vertex code
+    src, dst = fock.ends
+    block = num[dst]  # rows and columns alike
 
     gen_blocks = {}
     gen_ok = True
@@ -599,9 +661,7 @@ def verify_cycle_blocks(n: int, k: int, trunc: int) -> dict:
         cols = np.flatnonzero(img >= 0)
         proj_ok &= bool((img[cols] == cols).all() and (block[cols] == vnum[v]).all())
 
-    congruence_ok = all(
-        (p.delta - (vnum[p.dst] - vnum[p.src])) % n == 0 for p in fock.basis
-    )
+    congruence_ok = bool(((fock.deltas - (block - num[src])) % n == 0).all())
     return {
         "n": n,
         "k": k,
@@ -638,9 +698,17 @@ def write_matrix_market(op: SparseOperator, path) -> None:
 
 def write_basis_manifest(fock: TruncatedFock, path) -> None:
     """TSV listing: index, word (vertex id for identities), degree."""
+    g = fock.graph
+    parent, lead = fock.parent_links()
+    eid = [e.id for e in g.edges]
+    words = list(g.vertices)  # the identities come first, in vertex order
+    for t in range(1, fock.trunc + 1):  # a word is its leading edge, then its parent's
+        idx = fock.grade_indices(t)
+        words += [eid[e] if t == 1 else f"{eid[e]} {words[p]}"
+                  for e, p in zip(lead[idx].tolist(), parent[idx].tolist())]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("#index\tword\tdegree\n")
-        for i, p in enumerate(fock.basis):
-            word = " ".join(p.word) if p.word else p.src
-            degree = ",".join(str(x) for x in p.degree)
-            fh.write(f"{i}\t{word}\t{degree}\n")
+        for n, (start, stop) in fock.blocks.items():
+            degree = ",".join(str(x) for x in n)
+            for i in range(start, stop):
+                fh.write(f"{i}\t{words[i]}\t{degree}\n")

@@ -2,12 +2,13 @@
 
 The oracles deliberately avoid the library's own shortcuts: class counting
 closes raw words under single square applications in both directions, cycle
-detection enumerates closed walks, creation operators compose paths one
-basis vector at a time instead of reading the edge-action tables, the exact
-checks multiply sparse matrices instead of composing column -> row maps, and
-validity is searched grading by grading (factorization counts and every
-rewrite order of every raw word) instead of by critical words.  Tests
-compare library output against these.
+detection enumerates closed walks, the basis is counted per range vertex
+instead of built, creation operators compose paths one basis vector at a
+time over the ``KGraph`` enumeration instead of reading the basis arrays and
+the edge-action tables, the exact checks multiply sparse matrices instead of
+composing column -> row maps, and validity is searched grading by grading
+(factorization counts and every rewrite order of every raw word) instead of
+by critical words.  Tests compare library output against these.
 """
 
 import itertools
@@ -234,12 +235,38 @@ def oracle_validate(g: KGraph, max_grading: int) -> ValidationReport:
                             failures=failures, stats=stats)
 
 
+def oracle_basis_size(graph: KGraph, trunc: int) -> int:
+    """Basis paths of grading <= trunc, counted without building one by the
+    recursion of ``KGraph._paths``: per range vertex, cnt_n = A_c cnt_{n - e_c}
+    with c the smallest colour of n.  Stops after the grade that passes
+    ``fock.MAX_DIMENSION``."""
+    code = {v: i for i, v in enumerate(graph.vertices)}
+    grade = {(0,) * graph.k: [1] * len(code)}
+    total = len(code)
+    for t in range(1, trunc + 1):
+        if total > fock.MAX_DIMENSION or not any(map(any, grade.values())):
+            break
+        prev, grade = grade, {}
+        for n in degree_vectors(graph.k, t):
+            c = next(i for i, x in enumerate(n) if x)
+            sub, cnt = prev[n[:c] + (n[c] - 1,) + n[c + 1:]], [0] * len(code)
+            for e in graph.edges_of_color(c + 1):
+                cnt[code[e.dst]] += sub[code[e.src]]
+            grade[n] = cnt
+            total += sum(cnt)
+    return total
+
+
 def _composition_op(space, compose):
+    """The basis is the ``KGraph`` enumeration, indexed by a dict, so the
+    oracle reads neither the space's arrays nor its tables."""
+    basis = space.graph.all_paths_up_to(space.trunc)
+    index = {p: i for i, p in enumerate(basis)}
     rows, cols = [], []
-    for col, mu in enumerate(space.basis):
+    for col, mu in enumerate(basis):
         target = compose(mu)
         if target is not None and target.delta <= space.trunc:
-            rows.append(space.index_of(target))
+            rows.append(index[target])
             cols.append(col)
     m = sp.csr_matrix(
         (np.ones(len(rows), dtype=np.int64), (rows, cols)),
@@ -267,6 +294,7 @@ def oracle_right_op(space, what):
 def oracle_range_conflicts(space):
     """Range-membership scan: per degree, every row of every path's oracle
     operator, remembering the first path that held it."""
+    basis = space.graph.all_paths_up_to(space.trunc)
     conflicts = []
     for t in range(space.trunc + 1):
         for n in degree_vectors(space.graph.k, t):
@@ -278,7 +306,7 @@ def oracle_range_conflicts(space):
                 for r in oracle_left_op(space, p).matrix.tocoo().row:
                     prev = owner.setdefault(int(r), p)
                     if prev != p:
-                        conflicts.append((prev, p, space.basis[int(r)]))
+                        conflicts.append((prev, p, basis[int(r)]))
     return conflicts
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conftest import oracle_basis_size
 from kfock import builders, cli, dsl, fock
 from kfock.errors import SpecSyntaxError
 from kfock.kgraph import validate
@@ -164,7 +165,7 @@ def test_cli_gelfand_refuses_an_oversized_basis(capsys):
     # the tail bound picks truncation 12, a basis of 2,375,101 paths; the
     # first assert keeps a raised cap from running the command at that size
     g = builders.builtin_graph(["single-vertex", "2", "3", "cyclic"])
-    assert fock._basis_size(g, 12) > fock.MAX_DIMENSION
+    assert oracle_basis_size(g, 12) > fock.MAX_DIMENSION
     assert cli.main(["gelfand", "single-vertex", "2", "3", "cyclic",
                      "--samples", "2", "--seed", "3"]) == 2
     assert json.loads(capsys.readouterr().out)["error"] == "BudgetError"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import oracle_basis_size
 from kfock import builders, fock
 from kfock.errors import BudgetError, DomainError, UnsupportedGraphError
 from kfock.kgraph import validate
@@ -34,12 +35,12 @@ def test_basis_count_equals_dimension():
     for g in [g for _, g in _suite_graphs()] + k3:
         assert validate(g).ok
         for trunc in range(7):
-            assert fock._basis_size(g, trunc) == fock.TruncatedFock(g, trunc).dimension
+            assert oracle_basis_size(g, trunc) == fock.TruncatedFock(g, trunc).dimension
 
 
 def test_oversized_basis_is_refused_before_enumeration():
     g = builders.builtin_graph(["single-vertex", "2", "3", "cyclic"])
-    assert fock._basis_size(g, 11) == 788_970 <= fock.MAX_DIMENSION
+    assert oracle_basis_size(g, 11) == 788_970 <= fock.MAX_DIMENSION
     with pytest.raises(BudgetError):
         fock.TruncatedFock(g, 12)  # 2,375,101 paths
     assert g._paths_cache == {}
