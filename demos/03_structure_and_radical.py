@@ -21,7 +21,7 @@ print("rank-2 cycle no-cycle edges:", structure.nc_edges(cyc),
       "-> semisimple:", structure.is_semisimple(cyc))
 
 # ---------------------------------------------------------------------------
-# Nilpotency, verified exactly on the truncation: with 3 vertices every
+# Nilpotency, certified by reachability levels: with 3 vertices every
 # 3-fold product of ideal words vanishes, and (A L_e)^2 = 0 edgewise.
 space = fock.TruncatedFock(chain, 4)
 rad = structure.radical_check(chain, space)

@@ -13,7 +13,8 @@ import os
 import sys
 
 from . import builders, dsl, fock, gelfand, reports, structure
-from .errors import KFockError
+from .errors import (CompositionError, ConstructionError, DomainError, KFockError,
+                     SpecSyntaxError)
 from .kgraph import validate
 
 USAGE_EXIT = 1
@@ -247,9 +248,8 @@ def main(argv=None) -> int:
         return ex.code if isinstance(ex.code, int) else USAGE_EXIT
     except KFockError as ex:
         reports.dump_report({"error": type(ex).__name__, "message": str(ex)})
-        kind = type(ex).__name__
-        if kind in ("SpecSyntaxError", "ConstructionError", "DomainError",
-                    "CompositionError"):
+        if isinstance(ex, (SpecSyntaxError, ConstructionError, DomainError,
+                           CompositionError)):
             return USAGE_EXIT
         return VALIDATION_EXIT
 

@@ -382,16 +382,16 @@ def multiplicativity_check(fock, alpha, grading_budget: int = 3,
     vec = vec / np.linalg.norm(vec)
 
     words = [fock.basis[i] for i in np.flatnonzero(fock.deltas <= grading_budget)]
-    padded = np.append(vec, 0.0)
+    padded = np.append(np.conj(vec), 0.0)
     U = np.zeros((len(words), fock.dimension), dtype=complex)
     Y = np.empty_like(U)
     for i, p in enumerate(words):
         img = image(left_op(fock, p))[:-1]
         cols = np.flatnonzero(img >= 0)
         np.add.at(U[i], img[cols], vec[cols])  # U[i] = L_p nu
-        Y[i] = padded[img]  # Y[i] = L_p^T nu
+        Y[i] = padded[img]  # Y[i] = conj(L_p^T nu)
     rho = np.conj(vec) @ U.T  # rho[i] = <L_i nu, nu>
-    pair = np.conj(Y) @ U.T  # pair[i, j] = <L_i L_j nu, nu>
+    pair = Y @ U.T  # pair[i, j] = <L_i L_j nu, nu>
     resid = np.abs(pair - np.outer(rho, rho))
     worst = float(resid.max())
     wi, wj = np.unravel_index(int(resid.argmax()), resid.shape)

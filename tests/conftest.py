@@ -31,7 +31,7 @@ from kfock.kgraph import (
     degree_vectors,
     validate,
 )
-from kfock.structure import MAX_PRODUCTS, nc_edges
+from kfock.structure import nc_edges
 
 
 # -- graphs used across the suite ---------------------------------------------
@@ -336,10 +336,14 @@ def oracle_partial_isometry_residual(space):
     return worst
 
 
+MAX_PRODUCTS = 200_000  # n-fold ideal-word products oracle_radical_check may form
+
+
 def oracle_radical_check(g, space, word_grading=2, ideal_grading=None):
     """``structure.radical_check`` by sparse products: (A L_e)^2 as matrices,
     and a recursive search over the n-fold products of ideal words that counts
-    the products under a vanishing prefix as checked without forming them."""
+    the products under a vanishing prefix as checked without forming them.
+    More than ``MAX_PRODUCTS`` products raise ``BudgetError``."""
     nc = nc_edges(g)
     n = len(g.vertices)
     report = {"ncEdges": list(nc), "nilpotencyBound": n, "squareZeroChecked": 0,

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the current library."""
+"""Every demo script runs to completion against the current library, and
+prints the pinned lines where it has any."""
 
 import os
 import subprocess
@@ -15,9 +16,18 @@ def test_all_five_demos_found():
     assert len(DEMOS) == 5
 
 
+# lines a demo must print, for the demos whose numbers are pinned
+EXPECTED_LINES = {
+    "03_structure_and_radical.py":
+        "ideal words: 7; 3-fold products checked: 343; square-zero checks: 40; ok: True",
+}
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    if demo.name in EXPECTED_LINES:
+        assert EXPECTED_LINES[demo.name] in proc.stdout.splitlines()

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from conftest import oracle_basis_size
-from kfock import builders, cli, dsl, fock
+from kfock import builders, cli, dsl, errors, fock
 from kfock.errors import SpecSyntaxError
 from kfock.kgraph import validate
 
@@ -96,6 +96,29 @@ def test_cli_validate_failure_exit_code(tmp_path):
     bad = tmp_path / "bad.kg"
     bad.write_text("colors 2\nvertex v\nedge a : 1 v -> v\nedge b : 2 v -> v\n")
     assert cli.main(["validate", str(bad)]) == 2
+
+
+ERROR_EXITS = {
+    errors.SpecSyntaxError: 1, errors.ConstructionError: 1,
+    errors.DomainError: 1, errors.CompositionError: 1,
+    errors.MalformedGraphError: 2, errors.BudgetError: 2,
+    errors.UnsupportedGraphError: 2,
+}
+
+
+@pytest.mark.parametrize("error,code", ERROR_EXITS.items(),
+                         ids=lambda x: getattr(x, "__name__", x))
+def test_cli_exit_code_of_each_library_error(monkeypatch, capsys, error, code):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "_cmd_example", fail)
+    assert cli.main(["example", "chain", "3"]) == code
+    assert json.loads(capsys.readouterr().out)["error"] == error.__name__
+
+
+def test_cli_exit_codes_cover_every_library_error():
+    assert set(ERROR_EXITS) == set(errors.KFockError.__subclasses__())
 
 
 def test_cli_usage_error_exit_code(capsys):

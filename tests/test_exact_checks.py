@@ -1,6 +1,6 @@
-"""The exact checks compose column -> row maps; the conftest oracles multiply
-sparse matrices.  Both must give the same residuals and reports, nonzero
-residuals included."""
+"""The exact checks compose column -> row maps, and the radical check is
+certified by reach levels; the conftest oracles multiply sparse matrices.
+Both must give the same residuals and reports, nonzero residuals included."""
 
 import itertools
 from collections import Counter
@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import (oracle_commutant_residual, oracle_multiplicativity_check,
+from conftest import (MAX_PRODUCTS, oracle_commutant_residual, oracle_multiplicativity_check,
                       oracle_partial_isometry_residual, oracle_radical_check,
                       random_k3_candidates, random_valid_kgraphs)
 from kfock import builders, fock, gelfand, structure
@@ -52,15 +52,45 @@ def _radical_cases():
     return cases + [(f"random {i}", g) for i, g in enumerate(random_valid_kgraphs(4, 5))]
 
 
+def _assert_certificate(g, rep):
+    """Reach levels never rise along an edge and drop on each no-cycle edge."""
+    level = rep["reachLevels"]
+    assert set(level) == set(g.vertices)
+    for e in g.edges:
+        drop = level[e.src] - level[e.dst]
+        assert drop > 0 if e.id in rep["ncEdges"] else drop >= 0, e.id
+
+
 def test_radical_check_matches_sparse_product_oracle():
     searched = 0
     for (name, g), trunc in itertools.product(_radical_cases(), range(5)):
         space = fock.TruncatedFock(g, trunc)
         for params in ((2, None), (1, 2), (3, trunc)):
             got = structure.radical_check(g, space, *params)
-            assert got == oracle_radical_check(g, space, *params), (name, trunc, params)
+            want = oracle_radical_check(g, space, *params)
+            assert {key: got[key] for key in want} == want, (name, trunc, params)
+            _assert_certificate(g, got)
             searched += got["nFoldChecked"] > 0
     assert searched > 0
+
+
+PAST_THE_CAP = {
+    "chain 5": (builders.chain(5), 4),
+    "chain 6": (builders.chain(6), 5),
+    "chain(3) x f1 x c2": (builders.direct_product([builders.from_digraph(d) for d in (
+        builders.chain_digraph(3), builders.bouquet_digraph(1), builders.cycle_digraph(2))]), 3),
+}
+
+
+@pytest.mark.parametrize("name", PAST_THE_CAP)
+def test_radical_check_answers_past_the_product_cap(name):
+    """Inputs whose idealWords ** |V| passes the oracle's product cap."""
+    g, trunc = PAST_THE_CAP[name]
+    rep = structure.radical_check(g, fock.TruncatedFock(g, trunc))
+    assert rep["ok"]
+    assert rep["nFoldChecked"] == rep["idealWords"] ** len(g.vertices) > MAX_PRODUCTS
+    assert rep["squareZeroFailures"] == [] and rep["nFoldFailures"] == []
+    _assert_certificate(g, rep)
 
 
 @pytest.mark.parametrize("tokens,trunc", [(["single-vertex", "2", "2", "cyclic"], 6),
