@@ -491,15 +491,12 @@ def cesaro(op: SparseOperator, n: int) -> SparseOperator:
 
 
 def image(op: SparseOperator) -> np.ndarray:
-    """Column -> row map of an operator with at most one entry per column, -1
-    for an empty column, plus one trailing -1 so that ``a[b]`` maps A B.  A
-    creation operator returns the read-only map it holds."""
-    if op._image is not None:
-        return op._image
-    img = np.full(op.space.dimension + 1, -1, dtype=np.int64)
-    coo = op.matrix.tocoo()
-    img[coo.col] = coo.row
-    return img
+    """The read-only column -> row map a creation operator holds: -1 for an
+    empty column, plus one trailing -1 so that ``a[b]`` maps A B.  Any other
+    operator raises ``DomainError``."""
+    if op._image is None:
+        raise DomainError("only a creation operator holds a column -> row map")
+    return op._image
 
 
 def commutant_residual(fock: TruncatedFock):
@@ -678,13 +675,25 @@ def transpose_pairing(fock: TruncatedFock, fock_t: TruncatedFock) -> np.ndarray:
     """perm[i] = index in ``fock_t`` of the reversed path of basis[i].
 
     The permutation realizes the unitary identifying the two Fock spaces
-    under edge reversal.
+    under edge reversal.  Path i is lead(i) parent(i), so its reversal is
+    that of parent(i) with lead(i) applied first: perm[i] =
+    fock_t.right[lead(i), perm[parent(i)]], grade by grade from the
+    identities.  Raises ``DomainError`` when ``fock_t``'s graph is not
+    ``fock``'s reversed or a reversed path lies past its truncation.
     """
-    g_t = fock_t.graph
+    g, g_t = fock.graph, fock_t.graph
+    if ((g_t.vertices, [(e.id, e.color, e.src, e.dst) for e in g_t.edges])
+            != (g.vertices, [(e.id, e.color, e.dst, e.src) for e in g.edges])):
+        raise DomainError("the second space is not over the transposed graph")
+    parent, lead = fock.parent_links()
     perm = np.empty(fock.dimension, dtype=np.int64)
-    for i, p in enumerate(fock.basis):
-        q = g_t.normal_form(tuple(reversed(p.word)), base=p.src if p.is_identity else None)
-        perm[i] = fock_t.index_of(q)
+    perm[fock.grade_indices(0)] = fock_t.grade_indices(0)
+    for t in range(1, fock.trunc + 1):
+        idx = fock.grade_indices(t)
+        perm[idx] = fock_t.right[lead[idx], perm[parent[idx]]]
+    if (perm < 0).any():
+        raise DomainError(f"the reversal of {fock.basis[int(np.argmax(perm < 0))]!r} "
+                          f"is not a basis path of {fock_t!r}")
     return perm
 
 

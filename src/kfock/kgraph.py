@@ -150,10 +150,8 @@ class KGraph:
         self.squares = squares
         # rewrite tables; duplicates are tolerated here and reported by validate()
         self._anti2norm = {}
-        self._norm2anti = {}
         for sq in squares:
             self._anti2norm.setdefault(sq.rhs, sq.lhs)
-            self._norm2anti.setdefault(sq.lhs, sq.rhs)
         self._edges = tuple(sorted(edge_map.values(), key=lambda e: e.id))
         self._of_color = {c: tuple(e for e in self._edges if e.color == c)
                           for c in range(1, k + 1)}

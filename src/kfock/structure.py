@@ -5,11 +5,12 @@ consequences (which algebras are reflexive, what generates the radical) are
 reported as verdicts about hypotheses, never recomputed analytically.
 """
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 
 from .errors import BudgetError, CompositionError, DomainError
-from .kgraph import KGraph, degree_vectors
+from .kgraph import KGraph
 
 __all__ = [
     "CycleWitness",
@@ -84,33 +85,42 @@ def is_semisimple(g: KGraph) -> bool:
     return not nc_edges(g)
 
 
-def pure_primitive_cycles(g: KGraph) -> tuple[CycleWitness, ...]:
-    """All primitive monochromatic cycles, per (vertex, color), first-return
-    semantics: the base vertex may not appear strictly inside the cycle.
+def _first_return_walks(g: KGraph, v: str, color: int):
+    """Closed walks at ``v`` in one colour with ``v`` only at both ends, at
+    most as long as the colour has edges, as composition-order words in
+    (length, word) order: a word grows from its last-applied edge through
+    the id-ordered ``in_edges``.  ``ahead[r]`` holds the ends of the colour
+    walks of length r that leave ``v`` and avoid it after; a letter is tried
+    only when its source is in ``ahead`` of the steps left after it, so
+    every branch ends in a walk."""
+    edges = g.edges_of_color(color)
+    into = {u: [e for e in g.in_edges(u) if e.color == color] for u in g.vertices}
+    ahead = [{v}]
+    while len(ahead) < len(edges) and ahead[-1]:
+        ahead.append({e.dst for e in edges if e.src in ahead[-1] and e.dst != v})
+    for length in range(1, len(ahead) + 1):
+        stack = [((), v)]  # word so far, the vertex where it starts
+        while stack:
+            word, at = stack.pop()
+            if len(word) == length:
+                yield word
+                continue
+            reach = ahead[length - len(word) - 1]
+            stack.extend((word + (e.id,), e.src) for e in reversed(into[at]) if e.src in reach)
 
-    Length is capped at the number of edges of the color (every cycle that is
-    vertex-simple inside fits, which is all that property detection needs);
-    more than ``MAX_CYCLES`` cycles raise ``BudgetError``.
-    """
-    found = []
-    for color in range(1, g.k + 1):
-        cap = max(len(g.edges_of_color(color)), 1)
-        for base in g.vertices:
-            # DFS over walks from `base` in this color, closing only at `base`
-            stack = [(base, [])]
-            while stack:
-                v, applied = stack.pop()
-                if len(applied) >= cap:
-                    continue
-                for e in reversed(g.out_edges(v, color)):
-                    if e.dst == base:
-                        word = tuple(reversed([*applied, e.id]))
-                        found.append(CycleWitness(vertex=base, color=color, word=word))
-                        if len(found) > MAX_CYCLES:
-                            raise BudgetError("primitive cycle enumeration exploded")
-                    else:
-                        stack.append((e.dst, [*applied, e.id]))
-    return tuple(sorted(found, key=lambda c: (c.vertex, c.color, len(c.word), c.word)))
+
+def pure_primitive_cycles(g: KGraph) -> tuple[CycleWitness, ...]:
+    """All primitive monochromatic cycles, first-return semantics: the base
+    vertex may not appear strictly inside the cycle.  Length is capped at the
+    number of edges of the color (every cycle that is vertex-simple inside
+    fits).  Sorted by (vertex, color, length, word); a listing of more than
+    ``MAX_CYCLES`` cycles raises ``BudgetError``."""
+    found = tuple(itertools.islice(
+        (CycleWitness(vertex=v, color=c, word=w) for v in g.vertices
+         for c in range(1, g.k + 1) for w in _first_return_walks(g, v, c)), MAX_CYCLES + 1))
+    if len(found) > MAX_CYCLES:
+        raise BudgetError("primitive cycle enumeration exploded")
+    return found
 
 
 def _shortest_access_words(g: KGraph, target: str) -> dict:
@@ -138,72 +148,56 @@ def double_pure_cycle_property(g: KGraph):
 
     Requires a vertex carrying two distinct primitive cycles of one color that
     every vertex can reach; this single-target form is what the isometry
-    construction consumes.
+    construction consumes.  Sites go in (vertex, color) order; the witnesses
+    are a site's first two cycles in ``pure_primitive_cycles`` order.
     """
-    cycles = pure_primitive_cycles(g)
-    by_site = {}
-    for c in cycles:
-        by_site.setdefault((c.vertex, c.color), []).append(c)
-    for (v, color), wits in sorted(by_site.items()):
-        if len(wits) < 2:
-            continue
-        access = _shortest_access_words(g, v)
-        if set(access) == set(g.vertices):
-            return DoublePureCycle(vertex=v, color=color,
-                                   cycles=(wits[0], wits[1]), access=access)
+    for v in g.vertices:
+        for color in range(1, g.k + 1):
+            words = tuple(itertools.islice(_first_return_walks(g, v, color), 2))
+            if len(words) < 2:
+                continue
+            access = _shortest_access_words(g, v)
+            if set(access) == set(g.vertices):
+                cycles = tuple(CycleWitness(vertex=v, color=color, word=w) for w in words)
+                return DoublePureCycle(vertex=v, color=color, cycles=cycles, access=access)
     return None
-
-
-def _paths_leaving(g: KGraph, v: str, max_grading: int):
-    """Nonempty canonical paths starting at v whose first-applied edge is not
-    a loop at v."""
-    out = []
-    for t in range(1, max_grading + 1):
-        for n in degree_vectors(g.k, t):
-            for p in g.paths_of_degree(n, max_grading=max_grading):
-                if p.src != v:
-                    continue
-                first = g.edge(p.word[-1])
-                if not (first.src == v and first.dst == v):
-                    out.append(p)
-    return out
 
 
 def classify_vertices(g: KGraph) -> dict:
     """Per-vertex flags: radiating, multiplicity-one, relational.
 
     A vertex radiates when every edge into it is a loop; it has multiplicity
-    one when it carries at most one loop per color; it is relational when two
-    different loops extend to the same path along words that immediately
-    leave the vertex.  The relational search is exhaustive up to grading
-    |vertices| + 2; with candidates present but no witness found the flag is
-    reported as "unknown (budget)" rather than False.
+    one when it carries at most one loop per color.  It is relational when
+    loops m != m' at v and paths l, l' leaving v (source v, first-applied
+    edge not a loop) give l m = l' m'.  The leaving paths of grading <= 2
+    decide this for every grading:
+    1. Loops of one colour never witness: d(l) = d(l') and unique
+       factorization gives l = l', then m = m'.
+    2. For colours i != j, factoring l m = l' m' at degree e_i + e_j on the
+       source side gives l = l'' x, l' = l'' y and a square x m = y m' at v.
+    3. The first-applied edge of a canonical word is its source-side factor
+       of degree e_c, c its largest colour.  For l'' x it depends only on x
+       and on d, the source-side edge of l'' in its largest colour (none for
+       an identity); so (d x, d y), of grading <= 2, witnesses like (l, l').
+    4. A leaving path exists iff v has a non-loop out-edge, of grading 1.
+    With fewer than two loops, one colour or no leaving path the flag is
+    False, else True or "unknown (budget)", which means no witness at any
+    grading.
     """
-    budget = len(g.vertices) + 2
+    leaving = [p for p in g.all_paths_up_to(2) if p.word and g.edge(p.word[-1]).dst != p.src]
     out = {}
     for v in g.vertices:
         radiating = all(e.src == v for e in g.in_edges(v))
         loops = g.loops_at(v)
         mult_one = all(len(g.loops_at(v, c)) <= 1 for c in range(1, g.k + 1))
-        if len(loops) < 2 or g.k == 1:
-            # one color means free words, and cancellation kills any witness
+        mine = [p for p in leaving if p.src == v]
+        if len(loops) < 2 or g.k == 1 or not mine:
             relational = False
         else:
-            leaving = _paths_leaving(g, v, budget)
-            if not leaving:
-                relational = False
-            else:
-                relational = "unknown (budget)"
-                seen = {}
-                for lam in leaving:
-                    for mu in loops:
-                        key = g.compose(lam, g.edge_path(mu.id))
-                        prev = seen.setdefault(key, (lam, mu.id))
-                        if prev[1] != mu.id:
-                            relational = True
-                            break
-                    if relational is True:
-                        break
+            owner = {}  # composed path -> the first loop that gave it
+            relational = any(
+                owner.setdefault(g.compose(lam, g.edge_path(mu.id)), mu.id) != mu.id
+                for lam in mine for mu in loops) or "unknown (budget)"
         out[v] = {"radiating": radiating, "multiplicityOne": mult_one,
                   "relational": relational}
     return out
@@ -213,7 +207,8 @@ def reflexivity_report(g: KGraph) -> dict:
     """Which structural hypotheses hold; verdicts only, no operator theory.
 
     ``reflexiveByThm54`` is conservative: a vertex whose relational flag is
-    unknown blocks the verdict and is listed separately.
+    "unknown (budget)" blocks the verdict and is listed separately, though
+    ``classify_vertices`` proves such a vertex not relational.
     """
     from .builders import transpose
 
@@ -295,8 +290,11 @@ def radical_check(g: KGraph, fock_space, word_grading: int = 2,
     built.  The counts are the products the certificate covers:
     ``squareZeroChecked`` pairs each no-cycle edge with each word up to
     ``word_grading``, and ``nFoldChecked`` is ``idealWords ** |vertices|``,
-    where the ideal words are the paths mu e nu of grading below
-    ``ideal_grading`` (default: the truncation of ``fock_space``).  The
+    where the ideal words are the paths mu e nu of grading at most
+    ``ideal_grading`` (default: the truncation of ``fock_space``).  A level
+    drop along a word is an edge u -> w with reach(w) a proper subset of
+    reach(u), so u is not in reach(w): one representative holds a no-cycle
+    edge iff all do iff the level drops, and that is what is counted.  The
     failure lists stay empty.  An empty no-cycle set passes vacuously.
     """
     reach = {v: reachable_from(g, v) for v in g.vertices}
@@ -318,15 +316,9 @@ def radical_check(g: KGraph, fock_space, word_grading: int = 2,
 
     report["squareZeroChecked"] = len(nc) * len(g.all_paths_up_to(word_grading))
     budget = ideal_grading if ideal_grading is not None else fock_space.trunc
-    # a path has a representative through e exactly when it is mu e nu
-    shorter = g.all_paths_up_to(budget - 1)
-    ideal_paths = {
-        g.normal_form(mu.word + (eid,) + nu.word)
-        for eid in nc for nu in shorter if nu.dst == g.edge(eid).src
-        for mu in shorter if mu.src == g.edge(eid).dst and mu.delta + nu.delta < budget
-    }
-    report["idealWords"] = len(ideal_paths)
-    report["nFoldChecked"] = len(ideal_paths) ** n
+    ideal = sum(level[p.src] > level[p.dst] for p in g.all_paths_up_to(budget))
+    report["idealWords"] = ideal
+    report["nFoldChecked"] = ideal ** n
     return report
 
 

@@ -2,7 +2,9 @@
 
 The oracles deliberately avoid the library's own shortcuts: class counting
 closes raw words under single square applications in both directions, cycle
-detection enumerates closed walks, the basis is counted per range vertex
+detection enumerates closed walks, primitive cycles are listed by an
+unpruned search and sorted, the relational flag searches leaving paths up to
+grading |vertices| + 2, the basis is counted per range vertex
 instead of built, creation operators compose paths one basis vector at a
 time over the ``KGraph`` enumeration instead of reading the basis arrays and
 the edge-action tables, the exact checks multiply sparse matrices instead of
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from kfock import builders, fock, gelfand
+from kfock import builders, fock, gelfand, structure
 from kfock.errors import BudgetError, MalformedGraphError
 from kfock.fock import SparseOperator
 from kfock.kgraph import (
@@ -31,7 +33,6 @@ from kfock.kgraph import (
     degree_vectors,
     validate,
 )
-from kfock.structure import nc_edges
 
 
 # -- graphs used across the suite ---------------------------------------------
@@ -106,6 +107,9 @@ def closure_class_count(g: KGraph, degree) -> int:
     if sum(degree) == 0:
         return len(g.vertices)
     words = raw_words_of_degree(g, degree)
+    norm2anti = {}  # sorted -> reversed side; the first square for a pair wins
+    for sq in g.squares:
+        norm2anti.setdefault(sq.lhs, sq.rhs)
     seen = set()
     classes = 0
     for w in words:
@@ -117,7 +121,7 @@ def closure_class_count(g: KGraph, degree) -> int:
         while queue:
             u = queue.pop()
             for t in range(len(u) - 1):
-                for table in (g._anti2norm, g._norm2anti):
+                for table in (g._anti2norm, norm2anti):
                     repl = table.get((u[t], u[t + 1]))
                     if repl is not None:
                         v = u[:t] + repl + u[t + 2:]
@@ -147,6 +151,97 @@ def nc_oracle(g: KGraph):
                 else:
                     stack.append((e.dst, walk + (e.id,)))
     return tuple(sorted(e.id for e in g.edges if e.id not in on_cycle))
+
+
+def _paths_leaving(g: KGraph, v: str, max_grading: int):
+    """Nonempty canonical paths starting at v whose first-applied edge is not
+    a loop at v."""
+    out = []
+    for t in range(1, max_grading + 1):
+        for n in degree_vectors(g.k, t):
+            for p in g.paths_of_degree(n, max_grading=max_grading):
+                if p.src != v:
+                    continue
+                first = g.edge(p.word[-1])
+                if not (first.src == v and first.dst == v):
+                    out.append(p)
+    return out
+
+
+def oracle_classify_vertices(g: KGraph) -> dict:
+    """``structure.classify_vertices`` with the relational search exhaustive
+    up to grading |vertices| + 2; with candidates present but no witness
+    found the flag is reported as "unknown (budget)" rather than False."""
+    budget = len(g.vertices) + 2
+    out = {}
+    for v in g.vertices:
+        radiating = all(e.src == v for e in g.in_edges(v))
+        loops = g.loops_at(v)
+        mult_one = all(len(g.loops_at(v, c)) <= 1 for c in range(1, g.k + 1))
+        if len(loops) < 2 or g.k == 1:
+            # one color means free words, and cancellation kills any witness
+            relational = False
+        else:
+            leaving = _paths_leaving(g, v, budget)
+            if not leaving:
+                relational = False
+            else:
+                relational = "unknown (budget)"
+                seen = {}
+                for lam in leaving:
+                    for mu in loops:
+                        key = g.compose(lam, g.edge_path(mu.id))
+                        prev = seen.setdefault(key, (lam, mu.id))
+                        if prev[1] != mu.id:
+                            relational = True
+                            break
+                    if relational is True:
+                        break
+        out[v] = {"radiating": radiating, "multiplicityOne": mult_one,
+                  "relational": relational}
+    return out
+
+
+def oracle_pure_primitive_cycles(g: KGraph):
+    """``structure.pure_primitive_cycles`` by a depth-first search over every
+    walk of up to as many steps as the colour has edges, closing only at the
+    base, then sorted; more than ``structure.MAX_CYCLES`` raise
+    ``BudgetError``."""
+    found = []
+    for color in range(1, g.k + 1):
+        cap = max(len(g.edges_of_color(color)), 1)
+        for base in g.vertices:
+            # DFS over walks from `base` in this color, closing only at `base`
+            stack = [(base, [])]
+            while stack:
+                v, applied = stack.pop()
+                if len(applied) >= cap:
+                    continue
+                for e in reversed(g.out_edges(v, color)):
+                    if e.dst == base:
+                        word = tuple(reversed([*applied, e.id]))
+                        found.append(structure.CycleWitness(vertex=base, color=color, word=word))
+                        if len(found) > structure.MAX_CYCLES:
+                            raise BudgetError("primitive cycle enumeration exploded")
+                    else:
+                        stack.append((e.dst, [*applied, e.id]))
+    return tuple(sorted(found, key=lambda c: (c.vertex, c.color, len(c.word), c.word)))
+
+
+def oracle_double_pure_cycle(g: KGraph):
+    """``structure.double_pure_cycle_property`` from the whole sorted listing
+    of ``oracle_pure_primitive_cycles``, grouped by (vertex, color)."""
+    by_site = {}
+    for c in oracle_pure_primitive_cycles(g):
+        by_site.setdefault((c.vertex, c.color), []).append(c)
+    for (v, color), wits in sorted(by_site.items()):
+        if len(wits) < 2:
+            continue
+        access = structure._shortest_access_words(g, v)
+        if set(access) == set(g.vertices):
+            return structure.DoublePureCycle(vertex=v, color=color,
+                                             cycles=(wits[0], wits[1]), access=access)
+    return None
 
 
 def _all_raw_words(g: KGraph, max_len: int):
@@ -344,7 +439,7 @@ def oracle_radical_check(g, space, word_grading=2, ideal_grading=None):
     and a recursive search over the n-fold products of ideal words that counts
     the products under a vanishing prefix as checked without forming them.
     More than ``MAX_PRODUCTS`` products raise ``BudgetError``."""
-    nc = nc_edges(g)
+    nc = structure.nc_edges(g)
     n = len(g.vertices)
     report = {"ncEdges": list(nc), "nilpotencyBound": n, "squareZeroChecked": 0,
               "squareZeroFailures": [], "nFoldChecked": 0, "nFoldFailures": []}

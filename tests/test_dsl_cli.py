@@ -139,6 +139,19 @@ def test_cli_analyze_builtin(tmp_path):
     assert json.loads(out2.read_text())["structure"]["semisimple"] is True
 
 
+def test_cli_analyze_graph_with_more_cycles_than_the_listing_cap(tmp_path):
+    spec = tmp_path / "xyz.kg"
+    spec.write_text("colors 1\nvertex x y z\nedge a : 1 x -> y\n"
+                    + "".join(f"edge b{i} : 1 y -> z\nedge c{i} : 1 z -> y\n"
+                              for i in range(1, 5))
+                    + "edge d : 1 z -> x\n")
+    out = tmp_path / "an.json"
+    assert cli.main(["analyze", str(spec), "--json", str(out)]) == 0
+    dpc = json.loads(out.read_text())["structure"]["doublePureCycle"]
+    assert (dpc["vertex"], dpc["color"]) == ("x", 1)
+    assert dpc["cycles"] == [["d", "b1", "a"], ["d", "b2", "a"]]
+
+
 def test_cli_fock_exports(tmp_path):
     out = tmp_path / "rep.json"
     code = cli.main(["fock", "cycle", "3", "2", "--trunc", "4",

@@ -278,6 +278,22 @@ def test_right_op_unitarily_equivalent_to_transposed_left(cycle32, chain3, sv22_
             assert diff.nnz == 0 or np.abs(diff.data).max() == 0
 
 
+def test_transpose_pairing_refuses_spaces_that_do_not_pair(cycle32):
+    f_g = fock.TruncatedFock(cycle32, 4)
+    gt = builders.transpose(cycle32)
+    with pytest.raises(DomainError):
+        fock.transpose_pairing(f_g, fock.TruncatedFock(gt, 3))  # reversals past N = 3
+    with pytest.raises(DomainError):
+        fock.transpose_pairing(f_g, fock.TruncatedFock(cycle32, 4))  # edges not reversed
+
+
+def test_image_needs_a_creation_operator(cyc_fock):
+    op = fock.left_op(cyc_fock, "e1")
+    assert fock.image(op) is op._image
+    with pytest.raises(DomainError):
+        fock.image(fock.identity_op(cyc_fock))
+
+
 def test_matrix_market_export(tmp_path, cyc_fock):
     op = fock.left_op(cyc_fock, "e1")
     out = tmp_path / "e1.mtx"

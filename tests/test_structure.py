@@ -2,9 +2,34 @@
 
 import pytest
 
-from conftest import nc_oracle, random_valid_kgraphs
+from conftest import (
+    nc_oracle,
+    oracle_classify_vertices,
+    oracle_double_pure_cycle,
+    oracle_pure_primitive_cycles,
+    random_k3_candidates,
+    random_valid_kgraphs,
+)
 from kfock import builders, fock, structure
-from kfock.errors import DomainError
+from kfock.errors import BudgetError, DomainError
+from kfock.kgraph import Edge, KGraph, validate
+
+NAMED = [
+    ["chain", "3"], ["cycle", "3", "2"], ["cycle", "4", "3"], ["bouquet", "3"],
+    ["single-vertex", "1", "1", "id"], ["single-vertex", "2", "2", "cyclic"],
+    ["single-vertex", "2", "2", "1", "seed:1"], ["product", "f2", "c2"],
+    ["product", "c2", "f2"], ["product", "f2", "c2", "f1"], ["product", "f3", "f2", "c2"],
+]
+
+
+@pytest.fixture(scope="module")
+def verdict_graphs():
+    """Named graphs, random k <= 2 graphs and valid k = 3 candidates, each
+    with its transpose."""
+    graphs = [builders.builtin_graph(t) for t in NAMED]
+    graphs += random_valid_kgraphs(400, seed=11)
+    graphs += [g for g in random_k3_candidates(400, seed=12) if validate(g).ok]
+    return graphs + [builders.transpose(g) for g in graphs]
 
 
 def test_nc_edges_basic(chain3, cycle32, sv22_cyclic):
@@ -103,6 +128,45 @@ def test_double_pure_cycle_transpose_consistency(chain3, cycle32, f2, sv22_cycli
         assert (direct is None) == (double_t is None)
         if direct is not None:
             assert direct == double_t
+
+
+def test_cycle_listing_and_property_match_dfs_oracle(verdict_graphs):
+    answered = with_dpc = 0
+    for g in verdict_graphs:
+        try:
+            expected = oracle_pure_primitive_cycles(g)
+        except BudgetError:
+            continue
+        answered += 1
+        assert structure.pure_primitive_cycles(g) == expected
+        dpc = structure.double_pure_cycle_property(g)
+        assert dpc == oracle_double_pure_cycle(g)
+        with_dpc += dpc is not None
+    assert answered > 1000 and 0 < with_dpc < answered
+
+
+def test_double_pure_cycle_past_the_cycle_budget():
+    # over 10,000 first-return walks at x within the 10-edge cap
+    edges = [Edge("a", 1, "x", "y"), Edge("d", 1, "z", "x")]
+    edges += [Edge(f"b{i}", 1, "y", "z") for i in range(1, 5)]
+    edges += [Edge(f"c{i}", 1, "z", "y") for i in range(1, 5)]
+    g = KGraph(1, ["x", "y", "z"], edges)
+    with pytest.raises(BudgetError):
+        oracle_pure_primitive_cycles(g)
+    with pytest.raises(BudgetError):
+        structure.pure_primitive_cycles(g)
+    w = structure.double_pure_cycle_property(g)
+    assert (w.vertex, w.color) == ("x", 1)
+    assert [c.word for c in w.cycles] == [("d", "b1", "a"), ("d", "b2", "a")]
+
+
+def test_relational_flag_matches_budgeted_oracle(verdict_graphs):
+    seen = set()
+    for g in verdict_graphs:
+        classes = structure.classify_vertices(g)
+        assert classes == oracle_classify_vertices(g)
+        seen.update(c["relational"] for c in classes.values())
+    assert seen == {True, False, "unknown (budget)"}
 
 
 def test_classify_vertices_chain(chain3):
