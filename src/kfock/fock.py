@@ -31,15 +31,17 @@ beyond the truncation never come back and identities between words of the
 generators hold exactly (integer arithmetic) on the interior block
 {delta <= N - g}, where g bounds the grading of the words involved.  Floating
 point enters only through scalar coefficients (Cesaro weights, user
-combinations).
+combinations).  scipy is imported only where a CSR matrix or a Matrix Market
+file is built (``SparseOperator.matrix`` and the arithmetic that reads it,
+``identity_op``, ``grading_projection``, ``diagonal_part``, ``cesaro``,
+``write_matrix_market``): the exact checks read column -> row maps alone, so a
+process that builds no matrix never pays for loading scipy.
 """
 
 import functools
 from collections.abc import Sequence
 
 import numpy as np
-import scipy.io
-import scipy.sparse as sp
 
 from .errors import BudgetError, DomainError, MalformedGraphError, UnsupportedGraphError
 from .kgraph import KGraph, Path, degree_vectors
@@ -249,12 +251,16 @@ class SparseOperator:
         self._image = image
         self._matrix = None
         if matrix is not None:
+            import scipy.sparse as sp
+
             self._matrix = sp.csr_matrix(matrix)
             self._matrix.eliminate_zeros()
 
     @property
     def matrix(self):
         if self._matrix is None:
+            import scipy.sparse as sp
+
             img = self._image[:-1]
             cols = np.flatnonzero(img >= 0)
             self._matrix = sp.csr_matrix(
@@ -417,11 +423,15 @@ def right_op(fock: TruncatedFock, what) -> SparseOperator:
 
 
 def identity_op(fock: TruncatedFock) -> SparseOperator:
+    import scipy.sparse as sp
+
     return SparseOperator(fock, sp.identity(fock.dimension, dtype=np.int64, format="csr"))
 
 
 def grading_projection(fock: TruncatedFock, t: int) -> SparseOperator:
     """E_t: the diagonal projection onto the grade-t slice of the basis."""
+    import scipy.sparse as sp
+
     diag = np.zeros(fock.dimension, dtype=np.int64)
     diag[fock.grade_indices(t)] = 1
     return SparseOperator(fock, sp.diags(diag, format="csr", dtype=np.int64))
@@ -461,6 +471,8 @@ def fourier_series(op: SparseOperator) -> dict:
 
 def diagonal_part(op: SparseOperator, m: int) -> SparseOperator:
     """Phi_m(A) = sum_j E_j A E_{j+m}: keep entries moving grade j+m -> j."""
+    import scipy.sparse as sp
+
     fock = op.space
     coo = op.matrix.tocoo()
     keep = (fock.deltas[coo.col] - fock.deltas[coo.row]) == m
@@ -476,6 +488,8 @@ def cesaro(op: SparseOperator, n: int) -> SparseOperator:
     rebuilt from the operator's Fourier coefficients."""
     if n < 1:
         raise DomainError("Cesaro order must be >= 1")
+    import scipy.sparse as sp
+
     fock = op.space
     acc = sp.csr_matrix((fock.dimension, fock.dimension), dtype=np.complex128)
     for path, a in fourier_series(op).items():
@@ -702,6 +716,8 @@ def transpose_pairing(fock: TruncatedFock, fock_t: TruncatedFock) -> np.ndarray:
 
 def write_matrix_market(op: SparseOperator, path) -> None:
     """Coordinate-format export; entries are written as complex general."""
+    import scipy.io
+
     scipy.io.mmwrite(str(path), op.matrix.astype(np.complex128))
 
 

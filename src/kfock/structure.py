@@ -210,9 +210,13 @@ def reflexivity_report(g: KGraph) -> dict:
     "unknown (budget)" blocks the verdict and is listed separately, though
     ``classify_vertices`` proves such a vertex not relational.
     """
+    return _reflexivity(g, classify_vertices(g))
+
+
+def _reflexivity(g: KGraph, classes: dict) -> dict:
+    """``reflexivity_report`` from the vertex classes of ``g``."""
     from .builders import transpose
 
-    classes = classify_vertices(g)
     dpc_t = double_pure_cycle_property(transpose(g))
     blocked = sorted(
         v for v, c in classes.items()
@@ -358,12 +362,13 @@ class StructureReport:
 
 def structure_report(g: KGraph) -> StructureReport:
     nc = nc_edges(g)
+    classes = classify_vertices(g)
     return StructureReport(
         nc_edges=nc,
         semisimple=not nc,
         radical_generators=nc,
         nilpotency_bound=len(g.vertices),
         double_pure_cycle=double_pure_cycle_property(g),
-        vertex_classes=classify_vertices(g),
-        reflexivity=reflexivity_report(g),
+        vertex_classes=classes,
+        reflexivity=_reflexivity(g, classes),
     )

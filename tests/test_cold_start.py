@@ -1,0 +1,94 @@
+"""scipy loads only where a CSR matrix or a Matrix Market file is built.
+
+Each test runs in a fresh interpreter, so nothing imported by the rest of the
+suite hides a missing local import: ``validate``, ``analyze``, ``gelfand`` and
+``fock`` without ``--op`` never load scipy, and every site that builds a CSR
+matrix or writes an export works when it is the first to need scipy.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+PRELUDE = """\
+import sys
+
+def scipy_loaded():
+    return any(name.startswith("scipy") for name in sys.modules)
+"""
+
+
+def run_fresh(body, cwd):
+    """Run ``body`` after ``PRELUDE`` in a new interpreter; fail on its error."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    script = PRELUDE + textwrap.dedent(body)
+    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_commands_without_exports_never_load_scipy(tmp_path):
+    run_fresh("""
+        import contextlib, io, os
+        import kfock, kfock.cli as cli
+
+        def run(*argv):
+            with contextlib.redirect_stdout(io.StringIO()):
+                return cli.main(list(argv))
+
+        codes = [
+            run("validate", "cycle", "4", "3"),
+            run("analyze", "chain", "3"),
+            run("fock", "cycle", "3", "2", "--trunc", "3", "--out", "plain"),
+            run("gelfand", "single-vertex", "2", "2", "cyclic",
+                "--samples", "1", "--seed", "3", "--trunc", "6"),
+        ]
+        assert codes[:3] == [0, 0, 0] and codes[3] in (0, 3), codes
+        assert not scipy_loaded(), sorted(m for m in sys.modules if m.startswith("scipy"))
+
+        assert run("fock", "cycle", "3", "2", "--trunc", "3", "--op", "e1",
+                   "--out", "export") == 0
+        assert scipy_loaded()
+        assert os.path.isfile(os.path.join("export", "e1.mtx"))
+    """, tmp_path)
+
+
+# cycle 3 2 at N = 3: 30 basis paths, 9 of grading 2, and L_e1 has 6 entries
+SITES = {
+    "identity_op": "assert fock.identity_op(space).nnz == 30",
+    "grading_projection": "assert fock.grading_projection(space, 2).nnz == 9",
+    "diagonal_part": "assert fock.diagonal_part(fock.left_op(space, 'e1'), -1).nnz == 6",
+    "cesaro": """
+        op = fock.cesaro(fock.left_op(space, 'e1'), 2)
+        assert op.nnz == 6 and op.max_abs() == 0.5
+    """,
+    "SparseOperator(matrix=...)": """
+        import numpy as np
+        assert fock.SparseOperator(space, matrix=np.eye(30, dtype=np.int64)).nnz == 30
+    """,
+    "SparseOperator.matrix": "assert fock.left_op(space, 'e1').matrix.nnz == 6",
+    "write_matrix_market": """
+        fock.write_matrix_market(fock.left_op(space, 'e1'), 'e1.mtx')
+        with open('e1.mtx') as fh:
+            lines = fh.read().splitlines()
+        assert lines[0] == '%%MatrixMarket matrix coordinate complex general'
+        assert '30 30 6' in lines
+    """,
+}
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_lazy_site_loads_scipy_on_first_use(site, tmp_path):
+    setup = """
+        from kfock import builders, fock
+        space = fock.TruncatedFock(builders.builtin_graph(['cycle', '3', '2']), 3)
+        assert not scipy_loaded()
+    """
+    run_fresh("\n".join([textwrap.dedent(setup), textwrap.dedent(SITES[site]),
+                          "assert scipy_loaded()"]), tmp_path)

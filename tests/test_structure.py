@@ -266,3 +266,20 @@ def test_structure_report_roundtrip(chain3):
     assert d["nilpotencyBound"] == 3
     assert d["reflexivity"]["reflexiveByThm54"] is True
     assert (not d["ncEdges"]) == d["semisimple"]
+
+
+@pytest.mark.parametrize("tokens", [["chain", "3"], ["product", "f3", "f2", "c2"]])
+def test_structure_report_classifies_vertices_once(tokens, monkeypatch):
+    g = builders.builtin_graph(tokens)
+    calls = []
+    classify = structure.classify_vertices
+
+    def counted(graph):
+        calls.append(graph)
+        return classify(graph)
+
+    monkeypatch.setattr(structure, "classify_vertices", counted)
+    rep = structure.structure_report(g)
+    assert calls == [g]
+    assert rep.reflexivity == structure.reflexivity_report(g)
+    assert len(calls) == 2
