@@ -29,6 +29,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
+def nonnegative_int(text):
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _resolve_graph(tokens):
     """A lone existing file path is parsed; anything else is a builtin name."""
     if len(tokens) == 1 and os.path.exists(tokens[0]):
@@ -225,7 +232,7 @@ def _build_parser():
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--alpha", default=None,
                     help="comma/space separated complex coordinates")
-    sp.add_argument("--samples", type=int, default=0)
+    sp.add_argument("--samples", type=nonnegative_int, default=0)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--max-norm", type=float, default=0.15)
     sp.set_defaults(func=_cmd_gelfand, default_grading=6)

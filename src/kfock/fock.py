@@ -15,10 +15,10 @@ from: integer edge-action tables
 with -1 where the edges do not compose or the image lies beyond N.  They are
 built once, lazily, grade by grade from the links:
 
-* ``child[e, p]`` is the index of e xi_p when that word is already sorted;
-* if colour(e) <= colour(lead(i)), ``left[e, i] = child[e, i]``;
+* the colour-sorted entries, where colour(e) <= colour(lead(p)), are
+  ``left[lead(i), parent(i)] = i``;
 * otherwise the square (e, lead(i)) -> (a, b) rewrites the front pair, and
-  ``left[e, i] = child[a, left[b, parent(i)]]``;
+  ``left[e, i] = left[a, left[b, parent(i)]]``, a colour-sorted entry;
 * ``right[e, i] = left[lead(i), right[e, parent(i)]]``.
 
 The factorization property makes these the normal forms of the composed
@@ -31,9 +31,12 @@ beyond the truncation never come back and identities between words of the
 generators hold exactly (integer arithmetic) on the interior block
 {delta <= N - g}, where g bounds the grading of the words involved.  Floating
 point enters only through scalar coefficients (Cesaro weights, user
-combinations).  scipy is imported only where a CSR matrix or a Matrix Market
-file is built (``SparseOperator.matrix`` and the arithmetic that reads it,
-``identity_op``, ``grading_projection``, ``diagonal_part``, ``cesaro``,
+combinations).  Wherever the edge maps are injective, distinct paths of one
+degree have orthogonal ranges exactly when distinct edges of one colour do,
+so range orthogonality is one bincount per colour over the rows of ``left``.
+scipy is imported only where a CSR matrix or a Matrix Market file is built
+(``SparseOperator.matrix`` and the arithmetic that reads it, ``identity_op``,
+``grading_projection``, ``diagonal_part``, ``cesaro``,
 ``write_matrix_market``): the exact checks read column -> row maps alone, so a
 process that builds no matrix never pays for loading scipy.
 """
@@ -118,10 +121,8 @@ class TruncatedFock:
             raise DomainError("truncation grading must be >= 0")
         self.graph = graph
         self.trunc = int(trunc)
-        _, esrc, edst = _edge_arrays(self)
-        code = self.edge_codes
-        of_color = [np.array([code[e.id] for e in graph.edges_of_color(c)], dtype=np.int64)
-                    for c in range(1, graph.k + 1)]
+        color, esrc, edst = self._edge_arrays
+        of_color = [np.flatnonzero(color == c) for c in range(1, graph.k + 1)]
         nv = len(graph.vertices)
         src = dst = np.arange(nv)  # of the previous grade
         grades = [(np.full(nv, -1), np.full(nv, -1), src, dst)]  # parent, lead, src, dst
@@ -225,6 +226,15 @@ class TruncatedFock:
         return self._links
 
     @functools.cached_property
+    def _edge_arrays(self):
+        """Per table row: colour, source and range vertex codes."""
+        code = self.vertex_codes
+        edges = self.graph.edges
+        return (np.array([e.color for e in edges], dtype=np.int64),
+                np.array([code[e.src] for e in edges], dtype=np.int64),
+                np.array([code[e.dst] for e in edges], dtype=np.int64))
+
+    @functools.cached_property
     def left(self) -> np.ndarray:
         """left[e, i]: index of e xi_i, or -1.  One extra column of -1 makes a
         gather through an undefined entry stay undefined."""
@@ -316,54 +326,42 @@ class SparseOperator:
         return f"SparseOperator(dim={self.space.dimension}, nnz={self.nnz})"
 
 
-def _edge_arrays(fock: TruncatedFock):
-    """Per table row: colour, source and range vertex codes."""
-    code = fock.vertex_codes
-    edges = fock.graph.edges
-    return (np.array([e.color for e in edges], dtype=np.int64),
-            np.array([code[e.src] for e in edges], dtype=np.int64),
-            np.array([code[e.dst] for e in edges], dtype=np.int64))
-
-
 def _left_table(fock: TruncatedFock) -> np.ndarray:
-    """The recursion of the module docstring, one grade at a time."""
+    """The recursion of the module docstring, one grade at a time, in place:
+    a swapped entry reads colour-sorted ones, which no swap overwrites."""
     g = fock.graph
     edges = g.edges
     code = fock.edge_codes
-    color, esrc, edst = _edge_arrays(fock)
+    color, esrc, edst = fock._edge_arrays
     parent, lead = fock.parent_links()
-    shape = (len(edges), fock.dimension + 1)
-    child = np.full(shape, -1, dtype=np.int64)
+    left = np.full((len(edges), fock.dimension + 1), -1, dtype=np.int64)
     nz = np.flatnonzero(parent >= 0)
-    child[lead[nz], parent[nz]] = nz
+    left[lead[nz], parent[nz]] = nz
     sq_a = np.full((len(edges), len(edges)), -1, dtype=np.int64)
     sq_b = np.full_like(sq_a, -1)
     for sq in reversed(g.squares):  # the first square for a pair wins
         (e, f), (a, b) = (code[x] for x in sq.rhs), (code[x] for x in sq.lhs)
         sq_a[e, f], sq_b[e, f] = a, b
 
-    left = np.full(shape, -1, dtype=np.int64)
-    for t in range(fock.trunc + 1):
+    for t in range(1, fock.trunc + 1):
         idx = fock.grade_indices(t)
-        block = child[:, idx]
-        if t > 0:
-            f = lead[idx]
-            swap = (color[:, None] > color[f]) & (esrc[:, None] == edst[f])
-            es, js = np.nonzero(swap)
-            a, b = sq_a[es, f[js]], sq_b[es, f[js]]
-            if (a < 0).any():
-                w = int(np.argmax(a < 0))
-                raise MalformedGraphError(
-                    f"no square for adjacent pair ({edges[es[w]].id}, {edges[f[js[w]]].id})")
-            mid = left[b, parent[idx[js]]]
-            block[es, js] = child[a, mid]
-            broken = (mid < 0) | ((block[es, js] < 0) & (t < fock.trunc))
-            if broken.any():
-                w = int(np.argmax(broken))
-                raise MalformedGraphError(
-                    f"square ({edges[a[w]].id}, {edges[b[w]].id}) = "
-                    f"({edges[es[w]].id}, {edges[f[js[w]]].id}) has broken endpoints")
-        left[:, idx] = block
+        f = lead[idx]
+        swap = (color[:, None] > color[f]) & (esrc[:, None] == edst[f])
+        es, js = np.nonzero(swap)
+        a, b = sq_a[es, f[js]], sq_b[es, f[js]]
+        if (a < 0).any():
+            w = int(np.argmax(a < 0))
+            raise MalformedGraphError(
+                f"no square for adjacent pair ({edges[es[w]].id}, {edges[f[js[w]]].id})")
+        mid = left[b, parent[idx[js]]]
+        got = left[a, mid]
+        broken = (mid < 0) | ((got < 0) & (t < fock.trunc))
+        if broken.any():
+            w = int(np.argmax(broken))
+            raise MalformedGraphError(
+                f"square ({edges[a[w]].id}, {edges[b[w]].id}) = "
+                f"({edges[es[w]].id}, {edges[f[js[w]]].id}) has broken endpoints")
+        left[es, idx[js]] = got
     return left
 
 
@@ -371,7 +369,7 @@ def _right_table(fock: TruncatedFock) -> np.ndarray:
     """right[e, i] = left[lead(i), right[e, parent(i)]], one grade at a time."""
     parent, lead = fock.parent_links()
     left = fock.left
-    _, esrc, edst = _edge_arrays(fock)
+    _, esrc, edst = fock._edge_arrays
     right = np.full_like(left, -1)
     # xi_v e is the edge path e = e xi_{s(e)} when e ends at v
     ident = fock.grade_indices(0)  # one identity per vertex, in order
@@ -384,13 +382,6 @@ def _right_table(fock: TruncatedFock) -> np.ndarray:
     return right
 
 
-def _images(table, letters, img):
-    """Gather ``img`` through the table rows ``letters``, first letter first."""
-    for c in letters:
-        img = table[c, img]
-    return img
-
-
 def _creation_op(fock: TruncatedFock, lam: Path, table, ends, letters) -> SparseOperator:
     """The 0/1 operator taking xi_i to the image of i under ``letters`` in
     ``table``; an identity keeps the xi_i whose ``ends`` is its vertex."""
@@ -399,9 +390,10 @@ def _creation_op(fock: TruncatedFock, lam: Path, table, ends, letters) -> Sparse
         kept = np.flatnonzero(ends == fock.vertex_codes[lam.src])
         img[kept] = kept
     else:
-        code = fock.edge_codes
         # column `dimension` of a table is -1, so the trailing entry stays -1
-        img = _images(table, [code[x] for x in letters], np.arange(fock.dimension + 1))
+        img = np.arange(fock.dimension + 1)
+        for x in letters:
+            img = table[fock.edge_codes[x], img]
     img.flags.writeable = False
     return SparseOperator(fock, image=img)
 
@@ -545,43 +537,38 @@ def partial_isometry_residual(fock: TruncatedFock):
 
 def same_degree_range_conflicts(fock: TruncatedFock):
     """Pairs (lambda != mu, same degree) with non-orthogonal ranges, as
-    (first owner, path, basis vector) triples.
+    (first owner, edge, basis vector) triples, decided at the degrees e_c.
 
-    Each creation operator has at most one entry per column, so
-    L_lambda* L_mu != 0 exactly when some basis vector lies in both ranges.
-    The images of all paths of one degree are gathered at once and one
-    bincount finds the basis vectors hit twice.  Triples come in path order,
-    then basis order, naming the first path whose range held the vector.
+    A creation operator has at most one entry per column, so L_lambda* L_mu
+    != 0 exactly when a basis vector lies in both ranges.  Two distinct
+    canonical paths of one degree have the same colour sequence, so they
+    share a prefix P and then differ in letters x != y of one colour.  A
+    basis vector in both ranges is then L_P of a vector in the ranges of both
+    L_x and L_y, since L_P is injective whenever every edge map is
+    (``partial_isometry_residual`` checks that in its shared-image test).
+
+    Per colour, one bincount over that colour's rows of ``left`` finds the
+    basis vectors hit twice.  Triples come in colour order, then edge order,
+    then basis order, naming the first edge whose range held the vector.
     """
     g = fock.graph
-    parent, lead = fock.parent_links()
-    src, dst = fock.ends
+    color = fock._edge_arrays[0]
     conflicts = []
-    for t in range(fock.trunc + 1):
-        cols = fock.interior_indices(t)
-        for n in degree_vectors(g.k, t):
-            start, stop = fock.blocks[n]
-            if stop - start < 2:
-                continue
-            paths = g.paths_of_degree(n, max_grading=fock.trunc)  # named in the triples
-            at = np.arange(start, stop)
-            img = np.where(dst[cols] == src[at][:, None], cols, -1)
-            letters = []  # every path's word, leftmost letter first
-            for _ in range(t):
-                letters.append(lead[at][:, None])
-                at = parent[at]
-            img = _images(fock.left, reversed(letters), img)
-            owner, col = np.nonzero(img >= 0)
-            rows = img[owner, col]
-            if rows.size == 0 or np.bincount(rows).max() <= 1:
-                continue
-            order = np.lexsort((rows, owner))
-            owner, rows = owner[order], rows[order]
-            first = np.full(fock.dimension, len(paths))
-            np.minimum.at(first, rows, owner)
-            for o, r in zip(owner, rows):
-                if o != first[r]:
-                    conflicts.append((paths[first[r]], paths[o], fock.basis[r]))
+    for c in range(1, g.k + 1):
+        es = np.flatnonzero(color == c)
+        block = fock.left[es]
+        owner, col = np.nonzero(block >= 0)
+        rows = block[owner, col]
+        twice = np.bincount(rows)[rows] > 1
+        if not twice.any():
+            continue
+        owner, rows = owner[twice], rows[twice]
+        order = np.lexsort((rows, owner))
+        first = {}
+        for o, r in zip(owner[order].tolist(), rows[order].tolist()):
+            if first.setdefault(r, o) != o:
+                conflicts.append((g.edge_path(g.edges[es[first[r]]].id),
+                                  g.edge_path(g.edges[es[o]].id), fock.basis[r]))
     return conflicts
 
 

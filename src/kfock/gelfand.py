@@ -272,6 +272,8 @@ def eigen_residual(g: KGraph, edge_id: str, alpha, trunc: int, fock=None) -> flo
     last-ulp rounding of the scalar vs vectorized multiplies); that route
     handles truncations whose basis would be too large to hold.
     """
+    if fock is not None and fock.graph is not g:
+        raise DomainError("fock space was built over a different graph")
     point = as_point(g, alpha)
     _check_interior(g, point)
     res = variety_residual(g, point)
@@ -352,6 +354,8 @@ class Character:
 
 def character(g: KGraph, alpha, fock=None) -> Character:
     """Build the character at a point of the closed ball meeting the variety."""
+    if fock is not None and fock.graph is not g:
+        raise DomainError("fock space was built over a different graph")
     point = as_point(g, alpha)
     if not in_ball(g, point):
         raise DomainError("point lies outside the closed product ball")

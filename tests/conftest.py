@@ -612,3 +612,30 @@ def random_k3_candidates(count: int, seed: int):
                                       vertices[(v + int(s)) % nv]))
         out.append(KGraph(3, vertices, edges, _random_squares(rng, 3, edges)))
     return out
+
+
+def random_square_maps(count: int, seed: int):
+    """Deterministic stream of single-vertex graphs, 2-coloured with one to
+    three loops per colour or 3-coloured with one or two, whose squares send
+    each (high, low) pair to a random (low, high) pair: every pair has a
+    square, but for some two colours the squares are not a bijection, so the
+    graph is no k-graph."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        k = int(rng.integers(2, 4))
+        most = 3 if k == 2 else 2
+        edges = [Edge(f"e{c}_{t}", c, "v", "v")
+                 for c in range(1, k + 1) for t in range(int(rng.integers(1, most + 1)))]
+        squares, bijective = [], True
+        for i, j in itertools.combinations(range(1, k + 1), 2):
+            low = [e.id for e in edges if e.color == i]
+            high = [e.id for e in edges if e.color == j]
+            cells = list(itertools.product(low, high))
+            images = [cells[int(t)] for t in rng.integers(len(cells), size=len(cells))]
+            bijective &= len(set(images)) == len(cells)
+            squares += [CommutationSquare(lhs=img, rhs=(y, x))
+                        for (x, y), img in zip(cells, images)]
+        if not bijective:
+            out.append(KGraph(k, ["v"], edges, squares))
+    return out

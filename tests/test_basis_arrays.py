@@ -77,3 +77,12 @@ def test_gelfand_checks_build_no_paths():
     assert g._paths_cache == {}
     lam = g.edges_of_color(2)[0].id  # moves past colour-1 letters by squares
     assert (fock.left_op(space, lam).matrix != oracle_left_op(space, lam).matrix).nnz == 0
+
+
+def test_fock_checks_build_no_paths():
+    g = builders.single_vertex((2, 3), theta=builders.cyclic_table((2, 3)))
+    space = fock.TruncatedFock(g, 7)
+    assert fock.commutant_residual(space) == 0
+    assert fock.partial_isometry_residual(space) == 0
+    assert fock.same_degree_range_conflicts(space) == []
+    assert g._paths_cache == {}

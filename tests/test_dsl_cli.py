@@ -220,6 +220,12 @@ def test_cli_gelfand_samples(tmp_path):
         assert s["multiplicativity"]["maxResidual"] <= 1e-9
 
 
+def test_cli_gelfand_refuses_a_negative_sample_count(capsys):
+    assert cli.main(["gelfand", "single-vertex", "2", "2", "cyclic",
+                     "--samples", "-1"]) == 1
+    assert "--samples: must be >= 0" in capsys.readouterr().err
+
+
 def test_cli_gelfand_explicit_alpha(tmp_path):
     out = tmp_path / "g.json"
     code = cli.main(["gelfand", "single-vertex", "1", "1", "id",

@@ -4,7 +4,8 @@ import itertools
 
 import pytest
 
-from conftest import (oracle_left_op, oracle_range_conflicts, oracle_right_op,
+from conftest import (oracle_left_op, oracle_partial_isometry_residual,
+                      oracle_range_conflicts, oracle_right_op, random_square_maps,
                       raw_words_of_degree)
 from kfock import builders, fock
 from kfock.errors import MalformedGraphError
@@ -95,13 +96,32 @@ def _collapsing_graph():
     return KGraph(2, ["v"], edges, squares)
 
 
+def _range_conflicts_against_scan(space):
+    """The library's list is the scan's grading-1 part, and the two agree on
+    the verdict wherever the edge maps are injective.  Returns whether the
+    scan found conflicts only past grading 1."""
+    got = fock.same_degree_range_conflicts(space)
+    want = oracle_range_conflicts(space)
+    assert got == [c for c in want if c[0].delta == 1]
+    iso = oracle_partial_isometry_residual(space)
+    assert (not got and iso == 0) == (not want and iso == 0)
+    return bool(want) and not got
+
+
 def test_range_conflicts_match_scan():
     from test_acceptance import _suite_graphs
 
     cases = _suite_graphs() + [("collapsing squares", _collapsing_graph())]
     for (name, g), trunc in itertools.product(cases, (2, 3, 4)):
         space = fock.TruncatedFock(g, trunc)
-        got = fock.same_degree_range_conflicts(space)
-        assert got == oracle_range_conflicts(space), (name, trunc)
+        _range_conflicts_against_scan(space)
     bad = fock.same_degree_range_conflicts(fock.TruncatedFock(_collapsing_graph(), 3))
     assert bad and bad[0][0].word == ("b1",) and bad[0][1].word == ("b2",)
+
+
+def test_range_conflicts_on_random_square_maps():
+    graphs = random_square_maps(200, seed=0)
+    past_grading_one = 0
+    for g, trunc in itertools.product(graphs, (2, 3)):
+        past_grading_one += _range_conflicts_against_scan(fock.TruncatedFock(g, trunc))
+    assert {g.k for g in graphs} == {2, 3} and past_grading_one > 0

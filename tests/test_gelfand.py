@@ -157,6 +157,12 @@ def test_eigen_rejects_off_variety(sv22_cyclic, sv22_fock):
                                fock=sv22_fock)
 
 
+def test_eigen_refuses_a_space_over_another_graph(sv22_fock):
+    ident = builders.single_vertex((2, 2), theta=builders.identity_table((2, 2)))
+    with pytest.raises(DomainError, match="different graph"):
+        gelfand.eigen_residual(ident, "e1_1", ((0.3, 0.1), (0.2, 0.1)), 8, fock=sv22_fock)
+
+
 def test_eigen_grouped_needs_constant_coordinates(sv22_cyclic):
     ident = builders.single_vertex((2, 2), theta=builders.identity_table((2, 2)))
     with pytest.raises(UnsupportedGraphError):
@@ -210,6 +216,12 @@ def test_character_boundary_is_formal(sv22_cyclic, sv22_fock):
 def test_character_rejects_off_variety(sv22_cyclic, sv22_fock):
     with pytest.raises(DomainError, match="variety"):
         gelfand.character(sv22_cyclic, ((0.3, 0.1), (0.2, 0.4)), fock=sv22_fock)
+
+
+def test_character_refuses_a_space_over_another_graph(sv22_fock):
+    ident = builders.single_vertex((2, 2), theta=builders.identity_table((2, 2)))
+    with pytest.raises(DomainError, match="different graph"):
+        gelfand.character(ident, ((0.3, 0.1), (0.2, 0.1)), fock=sv22_fock)
 
 
 def test_sampler_respects_constraints(sv22_cyclic, sv11):
