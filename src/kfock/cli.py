@@ -9,6 +9,7 @@ Exit codes: 0 all checks pass, 1 usage or parse error, 2 validation failure,
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -193,15 +194,17 @@ def _cmd_example(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
+    """Built once per process; ``main`` looks each command up by name."""
     p = _Parser(prog="kfock", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def graph_arg(sp):
+    def graph_arg(sp, max_grading):
         sp.add_argument("graph", nargs="+",
                         help="spec file path or builtin tokens")
-        sp.add_argument("--max-grading", type=int, default=None,
+        sp.add_argument("--max-grading", type=int, default=max_grading,
                         help="accepted and echoed as maxGrading in validate "
                              "reports; the check is complete for every "
                              "grading, so it changes nothing")
@@ -209,25 +212,22 @@ def _build_parser():
 
     sp = sub.add_parser("validate", help="complete k-graph check: square bijection "
                                            "plus critical-word confluence")
-    graph_arg(sp)
-    sp.set_defaults(func=_cmd_validate, default_grading=8)
+    graph_arg(sp, 8)
 
     sp = sub.add_parser("analyze", help="cycle/radical/reflexivity report")
-    graph_arg(sp)
-    sp.set_defaults(func=_cmd_analyze, default_grading=6)
+    graph_arg(sp, 6)
 
     sp = sub.add_parser("fock", help="export basis and operator matrices")
-    graph_arg(sp)
+    graph_arg(sp, 6)
     sp.add_argument("--trunc", type=int, default=6)
     sp.add_argument("--op", action="append",
                     help="edge id or word, e.g. --op e1 --op 'e2 f1'; letters "
                          "are separated by spaces, or by commas in a token "
                          "that is not an edge id")
     sp.add_argument("--out", default=".", help="output directory")
-    sp.set_defaults(func=_cmd_fock, default_grading=6)
 
     sp = sub.add_parser("gelfand", help="variety, eigenvector, character checks")
-    graph_arg(sp)
+    graph_arg(sp, 6)
     sp.add_argument("--trunc", type=int, default=None)
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--alpha", default=None,
@@ -235,22 +235,17 @@ def _build_parser():
     sp.add_argument("--samples", type=nonnegative_int, default=0)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--max-norm", type=float, default=0.15)
-    sp.set_defaults(func=_cmd_gelfand, default_grading=6)
 
     sp = sub.add_parser("example", help="emit a canned spec file")
     sp.add_argument("name", nargs="+", help="builtin tokens, e.g. chain 3")
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_example)
     return p
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if hasattr(args, "max_grading") and args.max_grading is None:
-            args.max_grading = args.default_grading
-        return args.func(args)
+        args = _build_parser().parse_args(argv)
+        return globals()[f"_cmd_{args.cmd}"](args)
     except SystemExit as ex:
         return ex.code if isinstance(ex.code, int) else USAGE_EXIT
     except KFockError as ex:

@@ -34,6 +34,9 @@ point enters only through scalar coefficients (Cesaro weights, user
 combinations).  Wherever the edge maps are injective, distinct paths of one
 degree have orthogonal ranges exactly when distinct edges of one colour do,
 so range orthogonality is one bincount per colour over the rows of ``left``.
+The isometries of ``orthogonal_isometries`` sum creation operators on
+disjoint columns (each term starts at its own vertex), so they are maps too;
+a Cesaro sum gathers its terms' entries, kept apart by unique factorization.
 scipy is imported only where a CSR matrix or a Matrix Market file is built
 (``SparseOperator.matrix`` and the arithmetic that reads it, ``identity_op``,
 ``grading_projection``, ``diagonal_part``, ``cesaro``,
@@ -477,20 +480,23 @@ def diagonal_part(op: SparseOperator, m: int) -> SparseOperator:
 
 def cesaro(op: SparseOperator, n: int) -> SparseOperator:
     """Weighted partial sum sum_{delta(lambda) < n} (1 - delta/n) a_lambda L_lambda,
-    rebuilt from the operator's Fourier coefficients."""
+    rebuilt from the operator's Fourier coefficients; by unique factorization
+    no two terms share an entry, so their entries make one matrix."""
     if n < 1:
         raise DomainError("Cesaro order must be >= 1")
     import scipy.sparse as sp
 
     fock = op.space
-    acc = sp.csr_matrix((fock.dimension, fock.dimension), dtype=np.complex128)
+    empty = np.zeros(0, dtype=np.int64)
+    rows, cols, vals = [empty], [empty], [empty.astype(np.complex128)]
     for path, a in fourier_series(op).items():
-        d = path.delta
-        if d >= n or a == 0:
-            continue
-        weight = 1.0 - d / n
-        acc = acc + (weight * complex(a)) * left_op(fock, path).matrix
-    return SparseOperator(fock, acc)
+        if path.delta < n and a != 0:
+            img = image(left_op(fock, path))
+            cols.append(np.flatnonzero(img >= 0))
+            rows.append(img[cols[-1]])
+            vals.append(np.full(len(cols[-1]), (1.0 - path.delta / n) * complex(a)))
+    coo = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+    return SparseOperator(fock, sp.csr_matrix(coo, shape=(fock.dimension,) * 2))
 
 
 # -- exact structural checks ---------------------------------------------------
@@ -513,9 +519,10 @@ def commutant_residual(fock: TruncatedFock):
     gens = fock.generator_paths()
     lefts = [(p.delta, image(left_op(fock, p))) for p in gens]
     rights = [(p.delta, image(right_op(fock, p))) for p in gens]
+    interior = {m: fock.interior_indices(m) for m in (0, 2, 4)}  # generators: delta <= 1
     for da, la in lefts:
         for db, rb in rights:
-            cols = fock.interior_indices(2 * (da + db))
+            cols = interior[2 * (da + db)]
             if (la[rb[cols]] != rb[la[cols]]).any():
                 return 1
     return 0
@@ -577,7 +584,10 @@ def orthogonal_isometries(g: KGraph, fock: TruncatedFock, witness=None):
     U*U the identity on the interior block, built from a double pure cycle.
 
     Vertex w_i (sorted order, 1-based) contributes cycle exponents 2i-1 to U
-    and 2i to V; access paths are the witness's shortest paths.
+    and 2i to V; access paths are the witness's shortest paths.  Each term
+    starts at its own vertex, so U (and V) is the merged map of its terms:
+    U*V = 0 iff no basis vector is in both images, and U*U = 1 on the
+    interior iff each interior column has an image of its own.
     """
     from .structure import double_pure_cycle_property
 
@@ -593,36 +603,31 @@ def orthogonal_isometries(g: KGraph, fock: TruncatedFock, witness=None):
     lam2 = g.normal_form(witness.cycles[1].word)
 
     def build(offset):
-        terms = []
-        for idx, w in enumerate(g.vertices, start=1):
-            exponent = 2 * idx - 2 + offset
-            access = g.path_from_word(witness.access[w], base=w)
-            term = g.compose(g.power(lam1, exponent), g.compose(lam2, access))
-            terms.append(term)
-        acc = None
-        for term in terms:
-            piece = left_op(fock, term)
-            acc = piece if acc is None else acc + piece
-        return acc, terms
+        terms = [g.compose(g.power(lam1, 2 * i - 2 + offset),
+                           g.compose(lam2, g.path_from_word(witness.access[w], base=w)))
+                 for i, w in enumerate(g.vertices, start=1)]
+        img = np.maximum.reduce([image(left_op(fock, t)) for t in terms])
+        img.flags.writeable = False
+        return SparseOperator(fock, image=img), terms
 
     U, terms_u = build(1)
     V, terms_v = build(2)
+    img_u, img_v = image(U), image(V)
+    orth = int(np.isin(img_v[img_v >= 0], img_u).any())
     margin_u = max(t.delta for t in terms_u)
-    orth = (U.adjoint() @ V).max_abs()
-    diff = U.adjoint() @ U - identity_op(fock)
-    isom = diff.max_abs_interior(margin_u)
-    block_dim = len(fock.interior_indices(margin_u))
+    interior = img_u[fock.interior_indices(margin_u)]
+    isom = int((interior < 0).any() or len(np.unique(interior)) < len(interior))
     report = {
         "vertex": witness.vertex,
         "color": witness.color,
         "cycles": [list(lam1.word), list(lam2.word)],
         "termsU": [list(t.word) for t in terms_u],
         "termsV": [list(t.word) for t in terms_v],
-        "orthogonalityResidual": int(orth),
-        "isometryResidual": int(isom),
+        "orthogonalityResidual": orth,
+        "isometryResidual": isom,
         "isometryMargin": margin_u,
-        "isometryBlockDim": block_dim,  # 0 means the identity check is vacuous
-        "ok": orth == 0 and isom == 0 and block_dim > 0,
+        "isometryBlockDim": len(interior),  # 0 means the identity check is vacuous
+        "ok": orth == 0 and isom == 0 and len(interior) > 0,
     }
     return U, V, report
 

@@ -8,9 +8,9 @@ grading |vertices| + 2, the basis is counted per range vertex
 instead of built, creation operators compose paths one basis vector at a
 time over the ``KGraph`` enumeration instead of reading the basis arrays and
 the edge-action tables, the exact checks multiply sparse matrices instead of
-composing column -> row maps, and validity is searched grading by grading
-(factorization counts and every rewrite order of every raw word) instead of
-by critical words.  Tests compare library output against these.
+composing column -> row maps, Cesaro sums add one sparse matrix per term, and
+validity is searched grading by grading (factorization counts and every
+rewrite order of every raw word) instead of by critical words.  Tests compare library output against these.
 """
 
 import itertools
@@ -429,6 +429,59 @@ def oracle_partial_isometry_residual(space):
         diff = le.adjoint() @ le - proj[e.src]
         worst = max(worst, diff.max_abs_interior(1))
     return worst
+
+
+def oracle_orthogonal_isometries(g, space, witness=None):
+    """``fock.orthogonal_isometries`` by sparse sums and products: U and V
+    add their terms' matrices, the residuals are the largest entries of U*V
+    and of U*U - 1 on the interior block."""
+    if witness is None:
+        witness = structure.double_pure_cycle_property(g)
+    lam1 = g.normal_form(witness.cycles[0].word)
+    lam2 = g.normal_form(witness.cycles[1].word)
+
+    def build(offset):
+        terms = []
+        for idx, w in enumerate(g.vertices, start=1):
+            access = g.path_from_word(witness.access[w], base=w)
+            terms.append(g.compose(g.power(lam1, 2 * idx - 2 + offset), g.compose(lam2, access)))
+        acc = None
+        for term in terms:
+            piece = fock.left_op(space, term)
+            acc = piece if acc is None else acc + piece
+        return acc, terms
+
+    U, terms_u = build(1)
+    V, terms_v = build(2)
+    margin_u = max(t.delta for t in terms_u)
+    orth = (U.adjoint() @ V).max_abs()
+    isom = (U.adjoint() @ U - fock.identity_op(space)).max_abs_interior(margin_u)
+    block_dim = len(space.interior_indices(margin_u))
+    report = {
+        "vertex": witness.vertex,
+        "color": witness.color,
+        "cycles": [list(lam1.word), list(lam2.word)],
+        "termsU": [list(t.word) for t in terms_u],
+        "termsV": [list(t.word) for t in terms_v],
+        "orthogonalityResidual": int(orth),
+        "isometryResidual": int(isom),
+        "isometryMargin": margin_u,
+        "isometryBlockDim": block_dim,
+        "ok": orth == 0 and isom == 0 and block_dim > 0,
+    }
+    return U, V, report
+
+
+def oracle_cesaro(op, n):
+    """``fock.cesaro`` as a running sum of one sparse matrix per Fourier term."""
+    space = op.space
+    acc = sp.csr_matrix((space.dimension, space.dimension), dtype=np.complex128)
+    for path, a in fock.fourier_series(op).items():
+        d = path.delta
+        if d >= n or a == 0:
+            continue
+        acc = acc + ((1.0 - d / n) * complex(a)) * fock.left_op(space, path).matrix
+    return SparseOperator(space, acc)
 
 
 MAX_PRODUCTS = 200_000  # n-fold ideal-word products oracle_radical_check may form

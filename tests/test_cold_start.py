@@ -2,8 +2,9 @@
 
 Each test runs in a fresh interpreter, so nothing imported by the rest of the
 suite hides a missing local import: ``validate``, ``analyze``, ``gelfand`` and
-``fock`` without ``--op`` never load scipy, and every site that builds a CSR
-matrix or writes an export works when it is the first to need scipy.
+``fock`` without ``--op`` never load scipy, nor does ``orthogonal_isometries``,
+and every site that builds a CSR matrix or writes an export works when it is
+the first to need scipy.
 """
 
 import os
@@ -56,6 +57,18 @@ def test_commands_without_exports_never_load_scipy(tmp_path):
                    "--out", "export") == 0
         assert scipy_loaded()
         assert os.path.isfile(os.path.join("export", "e1.mtx"))
+    """, tmp_path)
+
+
+def test_orthogonal_isometries_report_without_scipy(tmp_path):
+    run_fresh("""
+        from kfock import builders, fock
+        g = builders.bouquet(2)
+        U, V, rep = fock.orthogonal_isometries(g, fock.TruncatedFock(g, 8))
+        assert rep["ok"] and rep["isometryBlockDim"] > 0
+        assert not scipy_loaded()
+        assert U.matrix.nnz == U.nnz and V.matrix.nnz == V.nnz
+        assert scipy_loaded()
     """, tmp_path)
 
 

@@ -197,6 +197,31 @@ def test_cli_fock_op_splits_on_commas_only_outside_edge_ids(tmp_path):
     assert json.loads(out.read_text())["operators"][0]["word"] == ["f2", "e1"]
 
 
+def test_cli_reused_parser_keeps_calls_apart(tmp_path):
+    """One process, two fock calls: each exports only its own --op list."""
+    runs = {"a": ["e1", "f2 e1"], "b": ["f1"]}
+    for name, ops in runs.items():
+        argv = ["fock", "cycle", "3", "2", "--trunc", "3", "--out", str(tmp_path / name),
+                "--json", str(tmp_path / f"{name}.json")]
+        assert cli.main(argv + [x for op in ops for x in ("--op", op)]) == 0
+    for name, ops in runs.items():
+        words = [op.split() for op in ops]
+        assert [o["word"] for o in json.loads((tmp_path / f"{name}.json").read_text())
+                ["operators"]] == words
+        assert sorted(f.name for f in (tmp_path / name).glob("*.mtx")) == sorted(
+            "_".join(w) + ".mtx" for w in words)
+
+
+def test_cli_max_grading_defaults_are_echoed(tmp_path, capsys):
+    out = tmp_path / "v.json"
+    assert cli.main(["validate", "cycle", "3", "2", "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["validation"]["maxGrading"] == 8
+    capsys.readouterr()
+    assert cli.main(["analyze", "single-vertex", "2", "2", "2", "cyclic"]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["validation"]["ok"] is False and rep["validation"]["maxGrading"] == 6
+
+
 def test_cli_gelfand_refuses_an_oversized_basis(capsys):
     # the tail bound picks truncation 12, a basis of 2,375,101 paths; the
     # first assert keeps a raised cap from running the command at that size

@@ -1,18 +1,22 @@
 """The exact checks compose column -> row maps, and the radical check is
 certified by reach levels; the conftest oracles multiply sparse matrices.
-Both must give the same residuals and reports, nonzero residuals included."""
+Both must give the same residuals and reports, nonzero residuals included.
+Cesaro sums gather one matrix from their terms' maps; the oracle adds one
+sparse matrix per term."""
 
 import itertools
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import (MAX_PRODUCTS, oracle_commutant_residual, oracle_multiplicativity_check,
+from conftest import (MAX_PRODUCTS, oracle_basis_size, oracle_cesaro, oracle_commutant_residual,
+                      oracle_multiplicativity_check, oracle_orthogonal_isometries,
                       oracle_partial_isometry_residual, oracle_radical_check,
                       random_k3_candidates, random_valid_kgraphs)
 from kfock import builders, fock, gelfand, structure
-from kfock.kgraph import CommutationSquare, KGraph
+from kfock.kgraph import CommutationSquare, Edge, KGraph, validate
 from test_acceptance import _suite_graphs
 from test_edge_tables import _collapsing_graph
 
@@ -102,3 +106,90 @@ def test_multiplicativity_matches_sparse_product_oracle(tokens, trunc):
     points.append(gelfand.as_point(g, [0.3, 0.1] + [0.05j, 0.2, 0.1][:len(g.edges) - 2]))
     for pt in points:
         assert gelfand.multiplicativity_check(space, pt) == oracle_multiplicativity_check(space, pt)
+
+
+def _two_vertex_graph():
+    """A double loop at w, reached from u by one edge."""
+    return KGraph(k=1, vertices=["u", "w"], edges=[
+        Edge("l1", 1, "w", "w"), Edge("l2", 1, "w", "w"), Edge("c", 1, "u", "w")])
+
+
+def _small_truncations(g, witness):
+    margin = fock.orthogonal_isometries(g, fock.TruncatedFock(g, 0), witness)[2]["isometryMargin"]
+    return (3,) + ((margin + 1,) if oracle_basis_size(g, margin + 1) <= 4000 else ())
+
+
+def _isometry_cases():
+    """(name, graph, witness, truncations): criterion 08's graphs, the
+    two-vertex graph, seeded k <= 2 and valid k = 3 graphs, and the graphs of
+    the residual tests.  At the witness's vertex, every colour with two
+    primitive cycles gives three witnesses: its first two cycles in order
+    (the library's own witness among them), the first twice, and the two
+    swapped.  Graphs without given truncations take N = 3 and, where the
+    basis stays small, one past the isometry margin."""
+    graphs = [("bouquet 2", builders.bouquet(2), (4, 8))]
+    graphs += [(f"single-vertex (2,1) {name}",
+                builders.single_vertex((2, 1), theta={(1, 2): theta}), (5, 8))
+               for name, theta in (("id", (0, 1)), ("swap", (1, 0)))]
+    graphs.append(("two vertices", _two_vertex_graph(), (3, 9)))
+    graphs += [(f"random {i}", g, ()) for i, g in enumerate(random_valid_kgraphs(40, 8))]
+    graphs += [(f"valid k=3 {i}", g, ()) for i, g in enumerate(random_k3_candidates(40, 12))
+               if validate(g).ok]
+    graphs += [(name, g, ()) for name, g in _cases()]
+    cases = []
+    for name, g, truncs in graphs:
+        w = structure.double_pure_cycle_property(g)
+        if w is None:
+            continue
+        by_color = {}
+        for c in structure.pure_primitive_cycles(g):
+            if c.vertex == w.vertex:
+                by_color.setdefault(c.color, []).append(c)
+        for color, (c0, c1, *_) in ((c, cs) for c, cs in by_color.items() if len(cs) > 1):
+            for label, cycles in (("", (c0, c1)), (" twice", (c0, c0)), (" swapped", (c1, c0))):
+                forged = replace(w, color=color, cycles=cycles)
+                cases.append((f"{name} colour {color}{label}", g, forged,
+                              truncs or _small_truncations(g, forged)))
+    return cases
+
+
+def test_orthogonal_isometries_match_sparse_product_oracle():
+    nonzero, counted = Counter(), Counter()
+    for name, g, witness, truncs in _isometry_cases():
+        counted[name.split()[0]] += 1
+        for trunc in truncs:
+            space = fock.TruncatedFock(g, trunc)
+            U, V, rep = fock.orthogonal_isometries(g, space, witness=witness)
+            oU, oV, want = oracle_orthogonal_isometries(g, space, witness=witness)
+            assert rep == want, (name, trunc)
+            assert all(type(rep[key]) is int for key in ("orthogonalityResidual", "isometryResidual"))
+            assert type(rep["ok"]) is bool
+            for got, oracle in ((U, oU), (V, oV)):
+                assert got.matrix.dtype == oracle.matrix.dtype
+                assert (got.matrix != oracle.matrix).nnz == 0, (name, trunc)
+            nonzero.update(["orthogonality"] * rep["orthogonalityResidual"]
+                           + ["isometry"] * rep["isometryResidual"]
+                           + ["interior block"] * (rep["isometryBlockDim"] > 0))
+    assert counted["random"] >= 10 and counted["valid"] >= 10, counted
+    assert nonzero["orthogonality"] >= 5 and nonzero["isometry"] >= 5, nonzero
+    assert nonzero["interior block"] >= 100, nonzero
+
+
+@pytest.mark.parametrize("tokens", [["cycle", "3", "2"], ["single-vertex", "2", "2", "cyclic"],
+                                    ["product", "f2", "c2"]])
+def test_cesaro_matches_running_sum(tokens):
+    g = builders.builtin_graph(tokens)
+    space = fock.TruncatedFock(g, 4)
+    rng = np.random.default_rng(5)
+    paths = [p for p in g.all_paths_up_to(3) if p.word]
+    A = None
+    for i in rng.choice(len(paths), 6, replace=False):
+        piece = complex(*rng.normal(size=2)) * fock.left_op(space, paths[int(i)])
+        A = piece if A is None else A + piece
+    A = A + 0.5 * fock.left_op(space, g.vertices[0])
+    for n in (1, 2, 3, 5, 8):
+        got, want = fock.cesaro(A, n).matrix, oracle_cesaro(A, n).matrix
+        assert got.dtype == want.dtype == np.complex128 and got.shape == want.shape
+        assert got.has_canonical_format and want.has_canonical_format
+        for part in ("indptr", "indices", "data"):
+            assert getattr(got, part).tobytes() == getattr(want, part).tobytes(), (n, part)
