@@ -188,7 +188,9 @@ class TruncatedFock:
         return np.arange(*self._grades[t])
 
     def interior_indices(self, margin: int) -> np.ndarray:
-        return np.flatnonzero(self.deltas <= self.trunc - margin)
+        """Indices of grading <= N - margin: a prefix, as the basis is sorted by grading."""
+        t = self.trunc - margin
+        return np.arange(self._grades[min(t, self.trunc)][1] if t >= 0 else 0)
 
     def generator_paths(self):
         """Identity paths and single edges, the operator generators."""
@@ -340,18 +342,20 @@ def _left_table(fock: TruncatedFock) -> np.ndarray:
     left = np.full((len(edges), fock.dimension + 1), -1, dtype=np.int64)
     nz = np.flatnonzero(parent >= 0)
     left[lead[nz], parent[nz]] = nz
-    sq_a = np.full((len(edges), len(edges)), -1, dtype=np.int64)
-    sq_b = np.full_like(sq_a, -1)
-    for sq in reversed(g.squares):  # the first square for a pair wins
-        (e, f), (a, b) = (code[x] for x in sq.rhs), (code[x] for x in sq.lhs)
-        sq_a[e, f], sq_b[e, f] = a, b
+    # squares as rows (e, f, a, b) for (e, f) -> (a, b), looked up by the sorted keys e |E| + f
+    sq = np.array([[code[x] for x in s.rhs + s.lhs] for s in g.squares], np.int64).reshape(-1, 4)
+    keys, first = np.unique(sq[:, 0] * len(edges) + sq[:, 1], return_index=True)  # the first wins
+    keys = np.append(keys, len(edges) ** 2)  # a key past every pair's, for pairs with no square
+    sides = np.append(sq[first, 2:], [[-1, -1]], axis=0)
 
     for t in range(1, fock.trunc + 1):
         idx = fock.grade_indices(t)
         f = lead[idx]
         swap = (color[:, None] > color[f]) & (esrc[:, None] == edst[f])
         es, js = np.nonzero(swap)
-        a, b = sq_a[es, f[js]], sq_b[es, f[js]]
+        pair = es * len(edges) + f[js]
+        at = np.searchsorted(keys, pair)
+        a, b = sides[np.where(keys[at] == pair, at, -1)].T
         if (a < 0).any():
             w = int(np.argmax(a < 0))
             raise MalformedGraphError(

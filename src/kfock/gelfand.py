@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UnsupportedGraphError
-from .fock import image, left_op
 from .kgraph import KGraph, Path, degree_vectors
 
 __all__ = [
@@ -186,10 +185,9 @@ def omega_vector(fock, alpha) -> np.ndarray:
     coords = np.array([coord[e.id] for e in g.edges], dtype=complex)
     parent, lead = fock.parent_links()
     vals = np.zeros(fock.dimension, dtype=complex)
-    vals[fock.grade_indices(0)] = 1.0
-    for t in range(1, fock.trunc + 1):
-        idx = fock.grade_indices(t)
-        vals[idx] = coords[lead[idx]] * vals[parent[idx]]
+    vals[:fock._grades[0][1]] = 1.0
+    for a, b in fock._grades[1:]:
+        vals[a:b] = coords[lead[a:b]] * vals[parent[a:b]]
     return vals
 
 
@@ -266,7 +264,11 @@ def _constant_coordinates(point):
 def eigen_residual(g: KGraph, edge_id: str, alpha, trunc: int, fock=None) -> float:
     """max over delta(lambda) <= trunc-1 of |(L_e* omega)_lambda - alpha_e omega_lambda|.
 
-    With a Fock space this reads the edge's column -> row map.  Without one,
+    With a Fock space this reads the edge's row of ``left`` over the interior,
+    the basis prefix of grading <= N - 1, on which every entry is defined at
+    one vertex.  The product alpha_e omega is taken on a copy of that prefix:
+    numpy's complex multiply can round a view differently from a fresh array
+    of the same values (it changed reported residuals).  Without a space,
     constant per-color coordinates make all components of one degree class
     equal, so the maximum over the classes is the same quantity (up to
     last-ulp rounding of the scalar vs vectorized multiplies); that route
@@ -286,10 +288,10 @@ def eigen_residual(g: KGraph, edge_id: str, alpha, trunc: int, fock=None) -> flo
             raise DomainError("fock truncation disagrees with `trunc`")
         vec = omega_vector(fock, point)
         coord = _coord_map(g, point)[edge_id]
-        idx = fock.interior_indices(1)
+        n = len(fock.interior_indices(1))
         # (L_e* omega)_i = omega at the index of e xi_i
-        adj = np.append(vec, 0.0)[image(left_op(fock, edge_id))[idx]]
-        return float(np.abs(adj - coord * vec[idx]).max(initial=0.0))
+        adj = vec[fock.left[fock.edge_codes[edge_id], :n]]
+        return float(np.abs(adj - coord * vec[:n].copy()).max(initial=0.0))
 
     consts = _constant_coordinates(point)
     if consts is None:
@@ -377,6 +379,12 @@ def multiplicativity_check(fock, alpha, grading_budget: int = 3,
 
     Runs for any interior point, on or off the variety, so it doubles as the
     negative control: off-variety points must show a violation.
+
+    The words are the basis prefix of grading <= budget.  At one vertex every
+    path composes, so L_p is defined exactly on the prefix of grading <= N - |p|,
+    where its map is one gather of ``left`` along its parent's map.  The residual
+    is rounding noise: another summation order in the products, or a complex
+    multiply on a view instead of a fresh array, would change its digits.
     """
     g = fock.graph
     point = as_point(g, alpha)
@@ -385,15 +393,21 @@ def multiplicativity_check(fock, alpha, grading_budget: int = 3,
     vec = omega_vector(fock, conjugate_point(point))
     vec = vec / np.linalg.norm(vec)
 
-    words = [fock.basis[i] for i in np.flatnonzero(fock.deltas <= grading_budget)]
-    padded = np.append(np.conj(vec), 0.0)
+    N = fock.trunc
+    words = fock.basis[:fock._grades[min(grading_budget, N)][1]]
+    parent, lead = fock.parent_links()
+    conj = np.conj(vec)
     U = np.zeros((len(words), fock.dimension), dtype=complex)
-    Y = np.empty_like(U)
+    Y = np.zeros(U.shape, dtype=complex)
+    maps = {}  # word index -> its map on the prefix, kept for the words of grading < budget
     for i, p in enumerate(words):
-        img = image(left_op(fock, p))[:-1]
-        cols = np.flatnonzero(img >= 0)
-        np.add.at(U[i], img[cols], vec[cols])  # U[i] = L_p nu
-        Y[i] = padded[img]  # Y[i] = conj(L_p^T nu)
+        n_p = fock._grades[N - p.delta][1]
+        img = np.arange(n_p) if parent[i] < 0 else fock.left[lead[i], maps[parent[i]][:n_p]]
+        if p.delta < grading_budget:
+            maps[i] = img
+        U[i, img] = vec[:n_p] + 0.0  # U[i] = L_p nu, -0.0 as 0.0 like a sparse product
+        Y[i, :n_p] = conj[img]  # Y[i] = conj(L_p^T nu)
+    del maps, img
     rho = np.conj(vec) @ U.T  # rho[i] = <L_i nu, nu>
     pair = Y @ U.T  # pair[i, j] = <L_i L_j nu, nu>
     resid = np.abs(pair - np.outer(rho, rho))

@@ -8,12 +8,14 @@ grading |vertices| + 2, the basis is counted per range vertex
 instead of built, creation operators compose paths one basis vector at a
 time over the ``KGraph`` enumeration instead of reading the basis arrays and
 the edge-action tables, the exact checks multiply sparse matrices instead of
-composing column -> row maps, Cesaro sums add one sparse matrix per term, and
+composing column -> row maps, Cesaro sums add one sparse matrix per term, the
+single-vertex character checks have closed forms in the norm series, and
 validity is searched grading by grading (factorization counts and every
 rewrite order of every raw word) instead of by critical words.  Tests compare library output against these.
 """
 
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -580,6 +582,43 @@ def oracle_multiplicativity_check(space, alpha, grading_budget=3, tol=1e-9):
         "ballNorms": list(gelfand.ball_norms(g, point)),
         "multiplicativeWithin": worst <= tol,
     }
+
+
+def oracle_closed_form_character(g, alpha, trunc, grading_budget=3):
+    """Closed forms for the vector functional of nu = omega(conj alpha) / |omega|
+    on a single-vertex graph, read neither from the basis arrays and tables nor
+    from ``omega_vector``.  Every word composes at one vertex, so the paths of
+    degree m are the colour-sorted words of m_c letters of each colour c and
+    sum |mu(alpha)|^2 over them is prod_c |alpha_c|^(2 m_c).  With P(t) the
+    sum of that over |m| <= t (0 for t < 0), |omega|^2 = P(N) and <L_w nu, nu> = [w](alpha) P(N - |w|) / P(N), with
+    [w](alpha) the letterwise value of the normal form of w; for w = lambda mu
+    this is lambda(alpha) mu(alpha) on the variety.  Returns P(N), the bias
+    |<L_l L_m nu, nu> - <L_l nu, nu> <L_m nu, nu>| of every pair of the words of
+    grading <= budget (keyed as in the report's ``worstPair``) and the
+    generator recovery error max_e |alpha_e| (1 - P(N - 1) / P(N))."""
+    point = gelfand.as_point(g, alpha)
+    coord = {e.id: complex(point[c - 1][i])
+             for c in range(1, g.k + 1) for i, e in enumerate(g.edges_of_color(c))}
+    norms_sq = [float(np.vdot(p, p).real) for p in point]
+    sums = list(itertools.accumulate(
+        math.fsum(math.prod(r ** x for r, x in zip(norms_sq, m)) for m in degree_vectors(g.k, t))
+        for t in range(trunc + 1)))
+
+    def P(t):
+        return sums[t] if t >= 0 else 0.0
+
+    def value(path):
+        return math.prod((coord[x] for x in path.word), start=complex(1.0))
+
+    def rho(path):
+        return value(path) * P(trunc - path.delta) / P(trunc)
+
+    words = g.all_paths_up_to(min(grading_budget, trunc))
+    bias = {(tuple(a.word) or (a.src,), tuple(b.word) or (b.src,)):
+            abs(rho(g.compose(a, b)) - rho(a) * rho(b)) for a in words for b in words}
+    phi = max((abs(coord[p.word[0]]) * (1.0 - P(trunc - 1) / P(trunc))
+               for p in words if p.delta == 1), default=0.0)
+    return {"normSq": P(trunc), "bias": bias, "phiRecoveryError": phi}
 
 
 # -- seeded random k-graphs -----------------------------------------------------

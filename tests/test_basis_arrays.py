@@ -51,6 +51,16 @@ def test_arrays_agree_with_enumeration(name, g):
         assert space.blocks[(2, 2)] == (space.dimension, space.dimension)
 
 
+@pytest.mark.parametrize("name,g", _array_graphs(), ids=[n for n, _ in _array_graphs()])
+def test_interior_indices_are_the_grading_prefix(name, g):
+    for trunc in range(6):
+        space = fock.TruncatedFock(g, trunc)
+        for margin in range(trunc + 2):
+            got = space.interior_indices(margin)
+            want = np.flatnonzero(space.deltas <= trunc - margin)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (trunc, margin)
+
+
 def test_index_of_refuses_paths_outside_the_basis(cycle32):
     space = fock.TruncatedFock(cycle32, 3)
     with pytest.raises(DomainError):  # grading 4 > N

@@ -71,7 +71,7 @@ def _square_graph(squares, vertices=("v",), extra=()):
 def test_missing_square_fails_loudly():
     # (b, a) composes, has colours (high, low) and no square
     space = fock.TruncatedFock(_square_graph([]), 2)
-    with pytest.raises(MalformedGraphError):
+    with pytest.raises(MalformedGraphError, match=r"no square for adjacent pair \(b, a\)"):
         space.left
     with pytest.raises(MalformedGraphError):
         fock.left_op(space, "b")
@@ -81,8 +81,22 @@ def test_missing_square_fails_loudly():
     broken = _square_graph(
         [CommutationSquare(lhs=("c", "b"), rhs=("b", "a"))],
         vertices=("v", "w"), extra=[Edge("c", 1, "w", "w")])
-    with pytest.raises(MalformedGraphError):
+    with pytest.raises(MalformedGraphError,
+                       match=r"square \(c, b\) = \(b, a\) has broken endpoints"):
         fock.TruncatedFock(broken, 2).left
+
+
+def test_first_square_for_a_pair_wins():
+    """A second square for (b, a1) is ignored by the tables, as by ``KGraph.compose``."""
+    edges = [Edge("a1", 1, "v", "v"), Edge("a2", 1, "v", "v"), Edge("b", 2, "v", "v")]
+    squares = [CommutationSquare(lhs=(a, "b"), rhs=("b", a)) for a in ("a1", "a2")]
+    g = KGraph(2, ["v"], edges, squares + [CommutationSquare(lhs=("a2", "b"), rhs=("b", "a1"))])
+    space = fock.TruncatedFock(g, 3)
+    b_a1 = g.path_from_word(("b", "a1"))
+    assert g.normal_form(b_a1).word == ("a1", "b")
+    for p in space.generator_paths() + space.basis[:space.dimension]:
+        assert _same(fock.left_op(space, p), oracle_left_op(space, p)), p
+        assert _same(fock.right_op(space, p), oracle_right_op(space, p)), p
 
 
 def _collapsing_graph():

@@ -97,15 +97,28 @@ def test_radical_check_answers_past_the_product_cap(name):
     _assert_certificate(g, rep)
 
 
-@pytest.mark.parametrize("tokens,trunc", [(["single-vertex", "2", "2", "cyclic"], 6),
-                                          (["single-vertex", "2", "3", "seed:4"], 5)])
+MULTIPLICATIVITY_CASES = [
+    (["single-vertex", "2", "2", "cyclic"], 6),
+    (["single-vertex", "2", "3", "seed:4"], 5),
+    *((["single-vertex", "2", "2", "cyclic"], n) for n in (0, 1, 2)),  # below the budget
+    (["single-vertex", "1", "1", "1", "id"], 5),
+    (["single-vertex", "2", "2", "1", "seed:1"], 4),
+]
+
+
+@pytest.mark.parametrize("tokens,trunc", MULTIPLICATIVITY_CASES)
 def test_multiplicativity_matches_sparse_product_oracle(tokens, trunc):
+    """Whole reports agree exactly at grading budgets 0, 1, 3 and 4, on
+    sampled variety points and on one point off the variety wherever the
+    table has binomials (the negative control)."""
     g = builders.builtin_graph(tokens)
     space = fock.TruncatedFock(g, trunc)
     points = gelfand.sample_variety_points(g, 3, seed=11, max_norm=0.4)
-    points.append(gelfand.as_point(g, [0.3, 0.1] + [0.05j, 0.2, 0.1][:len(g.edges) - 2]))
-    for pt in points:
-        assert gelfand.multiplicativity_check(space, pt) == oracle_multiplicativity_check(space, pt)
+    control = gelfand.as_point(g, [0.3, 0.1] + [0.05j, 0.2, 0.1][:len(g.edges) - 2])
+    assert gelfand.in_variety(g, control) == (not gelfand.variety_polys(g))
+    for pt, budget in itertools.product(points + [control], (0, 1, 3, 4)):
+        got = gelfand.multiplicativity_check(space, pt, grading_budget=budget)
+        assert got == oracle_multiplicativity_check(space, pt, grading_budget=budget), budget
 
 
 def _two_vertex_graph():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import oracle_closed_form_character
 from kfock import builders, fock, gelfand
 from kfock.errors import DomainError, UnsupportedGraphError
 
@@ -245,3 +246,57 @@ def test_sampler_deterministic(sv22_cyclic):
 def test_gelfand_rejects_multivertex(chain3):
     with pytest.raises(UnsupportedGraphError):
         gelfand.variety_polys(chain3)
+
+
+def _criterion_12():
+    g = builders.single_vertex((2, 2), theta=builders.cyclic_table((2, 2)))
+    trunc = gelfand.character_truncation([0.15 ** 2] * 2, 3, 1e-9)
+    return g, (trunc,), gelfand.sample_variety_points(g, 10, seed=5150, max_norm=0.15)
+
+
+def _random_table(shape, seed):
+    def case():
+        g = builders.single_vertex(shape, builders.random_table(shape, seed))
+        return g, (3, 6), gelfand.sample_variety_points(g, 2, seed=seed, max_norm=0.7)
+    return case
+
+
+CLOSED_FORM_CASES = {"criterion 12": _criterion_12}
+CLOSED_FORM_CASES.update({f"{shape} seed:{seed}": _random_table(shape, seed)
+                          for shape in ((2, 2), (2, 3), (1, 1, 1)) for seed in (0, 1)})
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_CASES)
+def test_character_checks_match_closed_form(name):
+    """The three character checks against ``oracle_closed_form_character`` on
+    the variety.  Criterion 12's points (N = 12, bias below 4e-18) check that
+    the residual is rounding; the random tables at N = 3 and 6 with norms up to
+    0.7 have biases of 1e-4 to 1e-1, so the closed form fixes the reported digits.
+
+    Tolerance: with u = eps / 2, a dot product of length D = dimension over
+    unit vectors is off by at most D u, and nu carries at most (D + sqrt(5) N) u
+    from its letterwise products (at most N complex multiplies) and its
+    normalization.  Each of <L_l L_m nu, nu> and rho_l rho_m meets these errors
+    twice, so a residual, rho - alpha_e and the relative error of |omega|^2 lie
+    within (9 D + 14 N) u < 8 (D + N) eps to first order.  An eigen residual
+    compares two products of at most N + 1 factors of modulus < 1, so it is
+    below 2 sqrt(5) (N + 1) u < 4 (N + 1) eps.  The measured gaps were at most
+    0.02 (D + N) eps, and 0.07 (N + 1) eps for the eigen residuals."""
+    g, truncs, points = CLOSED_FORM_CASES[name]()
+    eps = np.finfo(float).eps
+    for trunc in truncs:
+        space = fock.TruncatedFock(g, trunc)
+        tol = 8 * (space.dimension + trunc) * eps
+        for pt in points:
+            assert gelfand.in_variety(g, pt)
+            want = oracle_closed_form_character(g, pt, trunc)
+            worst = max(want["bias"].values())
+            rep = gelfand.multiplicativity_check(space, pt)
+            assert abs(rep["maxResidual"] - worst) <= tol, (trunc, rep["maxResidual"], worst)
+            assert want["bias"][tuple(map(tuple, rep["worstPair"]))] >= worst - 2 * tol
+            assert abs(rep["phiRecoveryError"] - want["phiRecoveryError"]) <= tol
+            norm = gelfand.omega_norm_check(space, pt)
+            assert abs(norm["partialNormSq"] - want["normSq"]) <= tol * want["normSq"]
+            assert norm["ok"]
+            eigen = [gelfand.eigen_residual(g, e.id, pt, trunc, fock=space) for e in g.edges]
+            assert max(eigen) <= 4 * (trunc + 1) * eps
