@@ -59,4 +59,4 @@ for name, g in [("doubled chain", chain),
 # ---------------------------------------------------------------------------
 # The whole report serializes to stable JSON (this is what the CLI emits).
 print("\nfull structure report for the doubled chain:")
-print(json.dumps(structure.structure_report(chain).to_dict(), indent=1))
+print(json.dumps(structure.structure_report(chain), indent=1))

@@ -34,7 +34,7 @@ except Exception as ex:
 # Reports: stable field order, sorted lists, floats clamped to 12 digits,
 # so identical inputs give byte-identical documents.
 doc = reports.envelope("analyze", "cycle 3 2",
-                       {"structure": structure.structure_report(g).to_dict()})
+                       {"structure": structure.structure_report(g)})
 one = json.dumps(reports.canonical(doc), indent=2)
 two = json.dumps(reports.canonical(doc), indent=2)
 assert one == two

@@ -8,8 +8,8 @@ given by permutation tables, doubled chains, and the transpose.
 import itertools
 from dataclasses import dataclass
 
-from .errors import ConstructionError
-from .kgraph import CommutationSquare, Edge, KGraph
+from .errors import ConstructionError, DomainError
+from .kgraph import CommutationSquare, Edge, KGraph, validate
 
 __all__ = [
     "Digraph",
@@ -115,8 +115,10 @@ def theta_product(a: KGraph, b: KGraph, theta) -> KGraph:
 
     ``theta`` maps every composable mixed pair ``(alpha, beta)`` (alpha from
     ``a`` applied second) to an equivalent reversed pair ``(beta2, alpha2)``
-    with the same endpoints; it is given edge-pair-wise so every condition is
-    checkable syntactically.
+    with the same endpoints.  Its squares are checked by :func:`validate`,
+    whose square stage is the whole check for k = 2: ``theta`` must be a
+    bijection from the composable mixed pairs onto the reversed ones that
+    keeps endpoints, so each vertex pair has as many pairs of either kind.
     """
     if a.k != 1 or b.k != 1:
         raise ConstructionError("theta_product factors must be 1-graphs")
@@ -128,46 +130,23 @@ def theta_product(a: KGraph, b: KGraph, theta) -> KGraph:
         raise ConstructionError(
             f"edge ids must be disjoint between factors: {sorted(a_ids & b_ids)}"
         )
-    theta = dict(theta)
-
-    e_pairs = {(al.id, be.id) for al in a.edges for be in b.edges if al.src == be.dst}
-    f_pairs = {(be.id, al.id) for be in b.edges for al in a.edges if be.src == al.dst}
-
-    def e_cell(pair):
-        al, be = pair
-        return (a.edge(al).dst, b.edge(be).src)
-
-    def f_cell(pair):
-        be, al = pair
-        return (b.edge(be).dst, a.edge(al).src)
-
-    e_cells = {}
-    for p in e_pairs:
-        e_cells.setdefault(e_cell(p), set()).add(p)
-    f_cells = {}
-    for p in f_pairs:
-        f_cells.setdefault(f_cell(p), set()).add(p)
-    for cell in sorted(set(e_cells) | set(f_cells)):
-        ne, nf = len(e_cells.get(cell, ())), len(f_cells.get(cell, ()))
-        if ne != nf:
-            raise ConstructionError(
-                f"pair sets at vertex pair {cell} have sizes {ne} != {nf}"
-            )
-
-    if set(theta) != e_pairs:
-        raise ConstructionError("theta must be defined on exactly the composable mixed pairs")
-    if set(theta.values()) != f_pairs:
-        raise ConstructionError("theta must map onto the reversed pairs bijectively")
-    for (al, be), (be2, al2) in theta.items():
-        if b.edge(be2).dst != a.edge(al).dst or a.edge(al2).src != b.edge(be).src:
-            raise ConstructionError(
-                f"theta image of ({al}, {be}) has mismatched endpoints"
-            )
-
     edges = [Edge(id=e.id, color=1, src=e.src, dst=e.dst) for e in a.edges]
     edges += [Edge(id=e.id, color=2, src=e.src, dst=e.dst) for e in b.edges]
-    squares = [CommutationSquare(lhs=pair, rhs=img) for pair, img in sorted(theta.items())]
-    return KGraph(k=2, vertices=a.vertices, edges=edges, squares=squares)
+    squares = [CommutationSquare(lhs=pair, rhs=img) for pair, img in sorted(dict(theta).items())]
+    try:
+        g = KGraph(k=2, vertices=a.vertices, edges=edges, squares=squares)
+    except DomainError as ex:
+        raise ConstructionError(f"theta: {ex}") from None
+    failures = validate(g).failures
+    for f in failures:
+        if f["kind"] == "pair-cardinality":
+            ne, nf = f["counts"]
+            raise ConstructionError(
+                f"pair sets at vertex pair {tuple(f['cell'])} have sizes {ne} != {nf}"
+            )
+    if failures:
+        raise ConstructionError(f"theta is not a square bijection: {failures[0]}")
+    return g
 
 
 _COLOR_LETTERS = "efghijklm"

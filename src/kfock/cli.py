@@ -37,11 +37,22 @@ def nonnegative_int(text):
     return n
 
 
+def nonnegative_float(text):
+    x = float(text)
+    if not 0 <= x < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {x}")
+    return x
+
+
 def _resolve_graph(tokens):
     """A lone existing file path is parsed; anything else is a builtin name."""
     if len(tokens) == 1 and os.path.exists(tokens[0]):
-        with open(tokens[0], "r", encoding="utf-8") as fh:
-            return dsl.parse_spec(fh.read()), tokens[0]
+        try:
+            with open(tokens[0], "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as ex:
+            raise SpecSyntaxError(f"cannot read spec file: {ex}") from None
+        return dsl.parse_spec(text), tokens[0]
     return builders.builtin_graph(tokens), " ".join(tokens)
 
 
@@ -73,8 +84,7 @@ def _validated(args):
 
 def _cmd_analyze(args):
     g, desc = _validated(args)
-    rep = structure.structure_report(g)
-    _emit(reports.envelope("analyze", desc, {"structure": rep.to_dict()}),
+    _emit(reports.envelope("analyze", desc, {"structure": structure.structure_report(g)}),
           args.json)
     return 0
 
@@ -229,12 +239,12 @@ def _build_parser():
     sp = sub.add_parser("gelfand", help="variety, eigenvector, character checks")
     graph_arg(sp, 6)
     sp.add_argument("--trunc", type=int, default=None)
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=nonnegative_float, default=1e-9)
     sp.add_argument("--alpha", default=None,
                     help="comma/space separated complex coordinates")
     sp.add_argument("--samples", type=nonnegative_int, default=0)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--max-norm", type=float, default=0.15)
+    sp.add_argument("--max-norm", type=nonnegative_float, default=0.15)
 
     sp = sub.add_parser("example", help="emit a canned spec file")
     sp.add_argument("name", nargs="+", help="builtin tokens, e.g. chain 3")
@@ -248,10 +258,10 @@ def main(argv=None) -> int:
         return globals()[f"_cmd_{args.cmd}"](args)
     except SystemExit as ex:
         return ex.code if isinstance(ex.code, int) else USAGE_EXIT
-    except KFockError as ex:
+    except (KFockError, OSError) as ex:
         reports.dump_report({"error": type(ex).__name__, "message": str(ex)})
         if isinstance(ex, (SpecSyntaxError, ConstructionError, DomainError,
-                           CompositionError)):
+                           CompositionError, OSError)):
             return USAGE_EXIT
         return VALIDATION_EXIT
 

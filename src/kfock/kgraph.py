@@ -140,6 +140,8 @@ class KGraph:
         self._edge = edge_map
         squares = tuple(squares)
         for sq in squares:
+            if len(sq.lhs) != 2 or len(sq.rhs) != 2:
+                raise DomainError(f"square {sq} does not pair two 2-letter words")
             for eid in (*sq.lhs, *sq.rhs):
                 if eid not in edge_map:
                     raise DomainError(f"square references unknown edge {eid!r}")

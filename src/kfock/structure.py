@@ -15,7 +15,6 @@ from .kgraph import KGraph
 __all__ = [
     "CycleWitness",
     "DoublePureCycle",
-    "StructureReport",
     "reachable_from",
     "nc_edges",
     "is_semisimple",
@@ -329,46 +328,24 @@ def radical_check(g: KGraph, fock_space, word_grading: int = 2,
 # -- aggregate report ---------------------------------------------------------
 
 
-@dataclass
-class StructureReport:
-    nc_edges: tuple[str, ...]
-    semisimple: bool
-    radical_generators: tuple[str, ...]
-    nilpotency_bound: int
-    double_pure_cycle: DoublePureCycle | None
-    vertex_classes: dict
-    reflexivity: dict
-
-    def to_dict(self):
-        dpc = None
-        if self.double_pure_cycle is not None:
-            w = self.double_pure_cycle
-            dpc = {
-                "vertex": w.vertex,
-                "color": w.color,
-                "cycles": [list(c.word) for c in w.cycles],
-                "access": {v: list(word) for v, word in sorted(w.access.items())},
-            }
-        return {
-            "ncEdges": list(self.nc_edges),
-            "semisimple": self.semisimple,
-            "radicalGenerators": list(self.radical_generators),
-            "nilpotencyBound": self.nilpotency_bound,
-            "doublePureCycle": dpc,
-            "vertexClasses": {v: self.vertex_classes[v] for v in sorted(self.vertex_classes)},
-            "reflexivity": self.reflexivity,
-        }
-
-
-def structure_report(g: KGraph) -> StructureReport:
+def structure_report(g: KGraph) -> dict:
+    """The ``analyze`` report: no-cycle edges and the radical they generate,
+    the double pure cycle witness, vertex classes and reflexivity verdicts."""
     nc = nc_edges(g)
     classes = classify_vertices(g)
-    return StructureReport(
-        nc_edges=nc,
-        semisimple=not nc,
-        radical_generators=nc,
-        nilpotency_bound=len(g.vertices),
-        double_pure_cycle=double_pure_cycle_property(g),
-        vertex_classes=classes,
-        reflexivity=_reflexivity(g, classes),
-    )
+    w = double_pure_cycle_property(g)
+    dpc = None if w is None else {
+        "vertex": w.vertex,
+        "color": w.color,
+        "cycles": [list(c.word) for c in w.cycles],
+        "access": {v: list(word) for v, word in sorted(w.access.items())},
+    }
+    return {
+        "ncEdges": list(nc),
+        "semisimple": not nc,
+        "radicalGenerators": list(nc),
+        "nilpotencyBound": len(g.vertices),
+        "doublePureCycle": dpc,
+        "vertexClasses": {v: classes[v] for v in sorted(classes)},
+        "reflexivity": _reflexivity(g, classes),
+    }

@@ -2,12 +2,13 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
-from conftest import closure_class_count
+from conftest import _random_squares, closure_class_count, oracle_validate
 from kfock import builders
-from kfock.errors import ConstructionError
-from kfock.kgraph import validate
+from kfock.errors import ConstructionError, DomainError
+from kfock.kgraph import CommutationSquare, Edge, KGraph, validate
 
 
 def test_every_builder_output_validates(sv11, sv22_cyclic, cycle32, chain3, f2, f2xf3):
@@ -99,6 +100,101 @@ def test_theta_product_requires_disjoint_ids():
     a = builders.from_digraph(builders.chain_digraph(3))
     with pytest.raises(ConstructionError, match="disjoint"):
         builders.theta_product(a, a, {})
+
+
+def _two_cycles():
+    a = builders.from_digraph(builders.cycle_digraph(2))
+    return a, builders.relabel_edges(a, lambda eid: eid.replace("e", "f"))
+
+
+CHAIN_THETA = {("a2", "b1"): ("b2", "a1")}
+
+
+@pytest.mark.parametrize("factors,theta,match", [
+    (_chain_factors, {}, r"'missing': \[\['a2', 'b1'\]\]"),
+    (_chain_factors, {**CHAIN_THETA, ("a1", "b2"): ("b1", "a2")}, r"'extra': \[\['a1', 'b2'\]\]"),
+    (_chain_factors, {**CHAIN_THETA, ("a2", "b9"): ("b2", "a1")}, "unknown edge 'b9'"),
+    (_two_cycles, {("e1", "f2"): ("f1", "e2"), ("e2", "f1"): ("f1", "e2")}, "duplicate-rhs"),
+    (_two_cycles, {("e1", "f2"): ("f2", "e1"), ("e2", "f1"): ("f1", "e2")}, "square-endpoints"),
+    (_chain_factors, {("a2", "b1"): ("a1", "b2")}, "color pattern"),
+    (_chain_factors, {("a2", "b1"): ("b2", "a1", "a2")}, "2-letter words"),
+], ids=["missing-pair", "not-composable", "unknown-edge", "same-image",
+        "endpoints", "colour-order", "image-not-a-pair"])
+def test_theta_product_rejects_each_kind_of_bad_theta(factors, theta, match):
+    a, b = factors()
+    with pytest.raises(ConstructionError, match=match):
+        builders.theta_product(a, b, theta)
+
+
+def test_theta_product_reports_cell_sizes_first():
+    # the lone composable pair has no reversed partner, so the pair, the
+    # image and the cell counts are all wrong; the cell sizes are reported
+    a = builders.from_digraph(builders.Digraph(vertices=("u", "v"), edges=(("a1", "u", "v"),)))
+    b = builders.from_digraph(builders.Digraph(vertices=("u", "v"), edges=(("b1", "u", "u"),)))
+    with pytest.raises(ConstructionError, match=r"\('v', 'u'\) have sizes 1 != 0"):
+        builders.theta_product(a, b, {("a1", "b1"): ("b1", "a1")})
+
+
+def _graph_shape(g):
+    return g.k, g.vertices, g.edges, g.squares
+
+
+def _random_theta_case(rng):
+    """Two random 1-graphs on at most three vertices (the second often a
+    relabelled copy of the first, so cells pair off), the edges of their
+    2-graph, and a random theta: a cell-by-cell bijection, a shuffle that
+    ignores cells, or either with a pair dropped, an image repeated, or a
+    key in the wrong colour order."""
+    vertices = [f"v{i}" for i in range(int(rng.integers(1, 4)))]
+
+    def digraph(prefix):
+        return builders.from_digraph(builders.Digraph(vertices=tuple(vertices), edges=tuple(
+            (f"{prefix}{t}", vertices[int(rng.integers(len(vertices)))],
+             vertices[int(rng.integers(len(vertices)))])
+            for t in range(int(rng.integers(1, 5))))))
+
+    a = digraph("a")
+    b = builders.relabel_edges(a, lambda eid: "b" + eid[1:]) if rng.random() < 0.6 else digraph("b")
+    edges = [Edge(e.id, 1, e.src, e.dst) for e in a.edges]
+    edges += [Edge(e.id, 2, e.src, e.dst) for e in b.edges]
+    squares = _random_squares(rng, 2, edges) if rng.random() < 0.6 else None
+    if squares is not None:
+        theta = {sq.lhs: sq.rhs for sq in squares}
+    else:
+        e_pairs = sorted((x.id, y.id) for x in a.edges for y in b.edges if x.src == y.dst)
+        f_pairs = sorted((y.id, x.id) for y in b.edges for x in a.edges if y.src == x.dst)
+        theta = dict(zip(e_pairs, (f_pairs[int(t)] for t in rng.permutation(len(f_pairs)))))
+    broken = int(rng.integers(4))
+    if broken == 1 and theta:
+        del theta[min(theta)]
+    elif broken == 2 and len(theta) > 1:
+        first, *rest = sorted(theta)
+        theta[rest[0]] = theta[first]
+    elif broken == 3 and theta:
+        key = min(theta)
+        theta[key[::-1]] = theta.pop(key)
+    return a, b, edges, theta
+
+
+def test_theta_product_agrees_with_validate():
+    rng = np.random.default_rng(20240)
+    outcomes = []
+    for _ in range(300):
+        a, b, edges, theta = _random_theta_case(rng)
+        squares = [CommutationSquare(lhs=p, rhs=q) for p, q in sorted(theta.items())]
+        try:
+            ref = KGraph(2, a.vertices, edges, squares)
+            ok = validate(ref).ok
+        except DomainError:
+            ok = False
+        outcomes.append(ok)
+        if ok:
+            assert _graph_shape(builders.theta_product(a, b, theta)) == _graph_shape(ref)
+            assert oracle_validate(ref, 3).ok
+        else:
+            with pytest.raises(ConstructionError):
+                builders.theta_product(a, b, theta)
+    assert 60 <= sum(outcomes) <= 240
 
 
 def test_cycle_rank_shapes(cycle32):

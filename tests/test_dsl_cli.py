@@ -292,3 +292,29 @@ def test_float_formatting_is_clamped():
     assert canonical(0.1 + 0.2) == 0.3
     assert canonical({"x": (1 / 3,)}) == {"x": [0.333333333333]}
     assert canonical(complex(1 / 7, -2)) == [0.142857142857, -2.0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "{tmp}"],
+    ["validate", "{tmp}/latin1.kg"],
+    ["validate", "chain", "3", "--json", "{tmp}/no/r.json"],
+    ["fock", "chain", "3", "--trunc", "2", "--out", "{tmp}/taken"],
+], ids=["directory-as-graph", "spec-not-utf8", "json-in-missing-dir", "out-is-a-file"])
+def test_cli_unreadable_or_unwritable_path_is_an_error_report(tmp_path, capsys, argv):
+    (tmp_path / "latin1.kg").write_bytes("# caf\xe9\ncolors 1\n".encode("latin-1"))
+    (tmp_path / "taken").write_text("")
+    assert cli.main([x.format(tmp=tmp_path) for x in argv]) == 1
+    out, err = capsys.readouterr()
+    assert "error" in json.loads(out)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("option,value", [("--tol", "-1"), ("--tol", "nan"),
+                                          ("--max-norm", "nan"), ("--max-norm", "inf")])
+def test_cli_gelfand_refuses_a_float_option_that_skips_every_check(capsys, option, value):
+    # usage errors are reported on stderr, as for --samples -1
+    assert cli.main(["gelfand", "single-vertex", "1", "1", "id", option, value]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {option}: must be finite and >= 0" in err
+    assert "Traceback" not in err

@@ -260,7 +260,7 @@ def test_extremal_factorization_explores_nontrivial_tuples(f2):
 
 def test_structure_report_roundtrip(chain3):
     rep = structure.structure_report(chain3)
-    d = rep.to_dict()
+    d = rep
     assert d["semisimple"] is False
     assert d["ncEdges"] == ["a1", "a2", "b1", "b2"]
     assert d["nilpotencyBound"] == 3
@@ -281,5 +281,21 @@ def test_structure_report_classifies_vertices_once(tokens, monkeypatch):
     monkeypatch.setattr(structure, "classify_vertices", counted)
     rep = structure.structure_report(g)
     assert calls == [g]
-    assert rep.reflexivity == structure.reflexivity_report(g)
+    assert rep["reflexivity"] == structure.reflexivity_report(g)
     assert len(calls) == 2
+
+
+def test_structure_report_key_order(chain3):
+    assert list(structure.structure_report(chain3)) == [
+        "ncEdges", "semisimple", "radicalGenerators", "nilpotencyBound",
+        "doublePureCycle", "vertexClasses", "reflexivity",
+    ]
+
+
+@pytest.mark.parametrize("tokens,witness", [
+    (["cycle", "3", "2"], None),
+    (["bouquet", "2"], {"vertex": "v", "color": 1, "cycles": [["e1_1"], ["e1_2"]],
+                        "access": {"v": []}}),
+])
+def test_structure_report_double_pure_cycle(tokens, witness):
+    assert structure.structure_report(builders.builtin_graph(tokens))["doublePureCycle"] == witness
