@@ -47,16 +47,14 @@ def from_digraph(d: Digraph) -> KGraph:
     )
 
 
-def _product_edge_id(eid, slot, context):
-    return f"{eid}.{slot}({','.join(context)})"
-
-
 def direct_product(graphs) -> KGraph:
     """Direct product of 1-graphs; color i moves only the i-th coordinate.
 
-    The squares are the coordinate-interchange identifications, which are the
-    only ones compatible with unique factorization, so no bijection is taken
-    as input.
+    A vertex is a tuple ``u`` of factor vertices, comma-joined.  The copy of
+    an edge ``e`` of factor ``s`` at ``u`` (where ``u[s]`` is its source)
+    moves coordinate ``s`` to its range; its id is ``<e.id>.<s+1>(<the other
+    coordinates of u>)``.  The squares are the coordinate interchanges, the
+    only ones compatible with unique factorization, so no bijection is taken.
     """
     graphs = list(graphs)
     if not graphs:
@@ -65,48 +63,26 @@ def direct_product(graphs) -> KGraph:
         if g.k != 1:
             raise ConstructionError("direct_product factors must be 1-graphs")
     k = len(graphs)
-    vertex_tuples = list(itertools.product(*(g.vertices for g in graphs)))
-    vname = {vt: ",".join(vt) for vt in vertex_tuples}
 
-    edges = []
-    for slot in range(k):
-        others = [graphs[t].vertices for t in range(k) if t != slot]
-        for e in graphs[slot].edges:
-            for ctx in itertools.product(*others):
-                src = list(ctx)
-                src.insert(slot, e.src)
-                dst = list(ctx)
-                dst.insert(slot, e.dst)
-                edges.append(Edge(
-                    id=_product_edge_id(e.id, slot + 1, ctx),
-                    color=slot + 1,
-                    src=vname[tuple(src)],
-                    dst=vname[tuple(dst)],
-                ))
+    def moved(u, s, v):
+        return u[:s] + (v,) + u[s + 1:]
 
-    squares = []
-    for i, j in itertools.combinations(range(k), 2):
-        other_slots = [t for t in range(k) if t not in (i, j)]
-        others = [graphs[t].vertices for t in other_slots]
-        for e in graphs[i].edges:
-            for f in graphs[j].edges:
-                for ctx in itertools.product(*others):
-                    assign = dict(zip(other_slots, ctx))
+    def copy(e, s, u):
+        return f"{e.id}.{s + 1}({','.join(u[:s] + u[s + 1:])})"
 
-                    def copy_id(eid, slot, val_slot, val):
-                        coords = tuple(
-                            val if t == val_slot else assign[t]
-                            for t in range(k) if t != slot
-                        )
-                        return _product_edge_id(eid, slot + 1, coords)
+    def tuples(fixed):  # vertex tuples in product order, slot t held at fixed[t]
+        return itertools.product(*((fixed[t],) if t in fixed else g.vertices
+                                   for t, g in enumerate(graphs)))
 
-                    a = copy_id(e.id, i, j, f.dst)
-                    b = copy_id(f.id, j, i, e.src)
-                    b2 = copy_id(f.id, j, i, e.dst)
-                    a2 = copy_id(e.id, i, j, f.src)
-                    squares.append(CommutationSquare(lhs=(a, b), rhs=(b2, a2)))
-
-    return KGraph(k=k, vertices=[vname[vt] for vt in vertex_tuples],
+    edges = [Edge(id=copy(e, s, u), color=s + 1, src=",".join(u),
+                  dst=",".join(moved(u, s, e.dst)))
+             for s in range(k) for e in graphs[s].edges for u in tuples({s: e.src})]
+    squares = [CommutationSquare(lhs=(copy(e, i, moved(u, j, f.dst)), copy(f, j, u)),
+                                 rhs=(copy(f, j, moved(u, i, e.dst)), copy(e, i, u)))
+               for i, j in itertools.combinations(range(k), 2)
+               for e in graphs[i].edges for f in graphs[j].edges
+               for u in tuples({i: e.src, j: f.src})]
+    return KGraph(k=k, vertices=[",".join(u) for u in tuples({})],
                   edges=edges, squares=squares)
 
 
@@ -327,7 +303,7 @@ def chain_digraph(n: int) -> Digraph:
 
 def _atom_digraph(token: str) -> Digraph:
     kind, num = token[:1].lower(), token[1:]
-    if not num.isdigit():
+    if not num.isdecimal():
         raise ConstructionError(f"bad product atom {token!r} (want f<n> or c<n>)")
     m = int(num)
     if kind == "f":
@@ -343,8 +319,20 @@ def _theta_from_token(n, token: str) -> dict:
     if token == "cyclic":
         return cyclic_table(n)
     if token.startswith("seed:"):
-        return random_table(n, int(token.split(":", 1)[1]))
-    raise ConstructionError(f"unknown theta spec {token!r} (want id|cyclic|seed:<int>)")
+        return random_table(n, _integer(token[5:], "seed", least=0))
+    raise ConstructionError(f"unknown theta spec {token!r} (want id|cyclic|seed:<int >= 0>)")
+
+
+def _integer(token: str, what: str, least=None) -> int:
+    """A builtin parameter as an int; one that is not an integer, or is
+    below ``least``, is a ``ConstructionError``."""
+    try:
+        n = int(token)
+    except ValueError:
+        raise ConstructionError(f"bad {what} {token!r} (want an integer)") from None
+    if least is not None and n < least:
+        raise ConstructionError(f"bad {what} {token!r} (want an integer >= {least})")
+    return n
 
 
 def builtin_names():
@@ -361,13 +349,13 @@ def builtin_graph(tokens) -> KGraph:
         raise ConstructionError("empty graph spec")
     name, args = tokens[0], tokens[1:]
     if name == "cycle" and len(args) == 2:
-        return cycle_rank(int(args[0]), int(args[1]))
+        return cycle_rank(*(_integer(x, "count") for x in args))
     if name == "chain" and len(args) == 1:
-        return chain(int(args[0]))
+        return chain(_integer(args[0], "count"))
     if name == "bouquet" and len(args) == 1:
-        return bouquet(int(args[0]))
+        return bouquet(_integer(args[0], "count"))
     if name == "single-vertex" and len(args) >= 2:
-        n = tuple(int(x) for x in args[:-1])
+        n = tuple(_integer(x, "count") for x in args[:-1])
         return single_vertex(n, theta=_theta_from_token(n, args[-1]))
     if name == "product" and args:
         return direct_product([from_digraph(_atom_digraph(t)) for t in args])

@@ -44,6 +44,14 @@ def nonnegative_float(text):
     return x
 
 
+def complex_coordinates(text):
+    try:
+        return [complex(tok) for tok in text.replace(",", " ").split()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"want complex numbers separated by commas or spaces, got {text!r}") from None
+
+
 def _resolve_graph(tokens):
     """A lone existing file path is parsed; anything else is a builtin name."""
     if len(tokens) == 1 and os.path.exists(tokens[0]):
@@ -74,10 +82,7 @@ def _validated(args):
     g, desc = _resolve_graph(args.graph)
     rep = validate(g, max_grading=args.max_grading)
     if not rep.ok:
-        reports.dump_report(
-            reports.envelope("validate", desc, {"validation": rep.to_dict()}),
-            args.json,
-        )
+        _emit(reports.envelope("validate", desc, {"validation": rep.to_dict()}), args.json)
         raise SystemExit(VALIDATION_EXIT)
     return g, desc
 
@@ -128,17 +133,13 @@ def _cmd_fock(args):
     return 0 if ok else NUMERIC_EXIT
 
 
-def _parse_alpha(text):
-    return [complex(tok) for tok in text.replace(",", " ").split()]
-
-
 def _cmd_gelfand(args):
     g, desc = _validated(args)
     polys = [str(b) + " = 0" for b in gelfand.variety_polys(g)]
 
     points = []
-    if args.alpha:
-        points.append(gelfand.as_point(g, _parse_alpha(args.alpha)))
+    if args.alpha is not None:
+        points.append(gelfand.as_point(g, args.alpha))
     if args.samples:
         points.extend(gelfand.sample_variety_points(
             g, args.samples, seed=args.seed, max_norm=args.max_norm))
@@ -240,10 +241,10 @@ def _build_parser():
     graph_arg(sp, 6)
     sp.add_argument("--trunc", type=int, default=None)
     sp.add_argument("--tol", type=nonnegative_float, default=1e-9)
-    sp.add_argument("--alpha", default=None,
+    sp.add_argument("--alpha", type=complex_coordinates, default=None,
                     help="comma/space separated complex coordinates")
     sp.add_argument("--samples", type=nonnegative_int, default=0)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=nonnegative_int, default=0)
     sp.add_argument("--max-norm", type=nonnegative_float, default=0.15)
 
     sp = sub.add_parser("example", help="emit a canned spec file")

@@ -367,40 +367,23 @@ def _square_structure_failures(g: KGraph):
         by_pair.setdefault((i, j), []).append(sq)
     for i, j in itertools.combinations(range(1, g.k + 1), 2):
         sqs = by_pair.get((i, j), [])
-        # composable pairs, walking on from the end of the edge applied first
-        lhs_expected = {(a.id, b.id) for b in g.edges_of_color(j)
-                        for a in g.out_edges(b.dst, i)}
-        rhs_expected = {(b.id, a.id) for a in g.edges_of_color(i)
-                        for b in g.out_edges(a.dst, j)}
-        lhs_seen = Counter(sq.lhs for sq in sqs)
-        rhs_seen = Counter(sq.rhs for sq in sqs)
-        for pair, cnt in lhs_seen.items():
-            if cnt > 1:
-                failures.append({"kind": "square-duplicate-lhs", "colors": [i, j],
-                                 "pair": list(pair)})
-        for pair, cnt in rhs_seen.items():
-            if cnt > 1:
-                failures.append({"kind": "square-duplicate-rhs", "colors": [i, j],
-                                 "pair": list(pair)})
-        missing = sorted(lhs_expected - set(lhs_seen))
-        extra = sorted(set(lhs_seen) - lhs_expected)
-        if missing or extra:
-            failures.append({"kind": "square-lhs-mismatch", "colors": [i, j],
-                             "missing": [list(p) for p in missing],
-                             "extra": [list(p) for p in extra]})
-        missing = sorted(rhs_expected - set(rhs_seen))
-        extra = sorted(set(rhs_seen) - rhs_expected)
-        if missing or extra:
-            failures.append({"kind": "square-rhs-mismatch", "colors": [i, j],
-                             "missing": [list(p) for p in missing],
-                             "extra": [list(p) for p in extra]})
+        # per side: its composable pairs and how often the squares use each
+        sides = [(name, {(x.id, y.id) for y in g.edges_of_color(first)
+                         for x in g.out_edges(y.dst, then)},
+                  Counter(getattr(sq, name) for sq in sqs))
+                 for name, then, first in (("lhs", i, j), ("rhs", j, i))]
+        for name, _, seen in sides:
+            failures += ({"kind": f"square-duplicate-{name}", "colors": [i, j],
+                          "pair": list(pair)} for pair, cnt in seen.items() if cnt > 1)
+        for name, pairs, seen in sides:
+            missing, extra = sorted(pairs - set(seen)), sorted(set(seen) - pairs)
+            if missing or extra:
+                failures.append({"kind": f"square-{name}-mismatch", "colors": [i, j],
+                                 "missing": [list(p) for p in missing],
+                                 "extra": [list(p) for p in extra]})
         # per vertex pair the two sides must pair off
-        e_cells = Counter()
-        for a, b in lhs_expected:
-            e_cells[(g.edge(a).dst, g.edge(b).src)] += 1
-        f_cells = Counter()
-        for b, a in rhs_expected:
-            f_cells[(g.edge(b).dst, g.edge(a).src)] += 1
+        e_cells, f_cells = (Counter((g.edge(x).dst, g.edge(y).src) for x, y in pairs)
+                            for _, pairs, _ in sides)
         for cell in sorted(set(e_cells) | set(f_cells)):
             if e_cells[cell] != f_cells[cell]:
                 failures.append({"kind": "pair-cardinality", "colors": [i, j],

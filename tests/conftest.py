@@ -9,9 +9,11 @@ instead of built, creation operators compose paths one basis vector at a
 time over the ``KGraph`` enumeration instead of reading the basis arrays and
 the edge-action tables, the exact checks multiply sparse matrices instead of
 composing column -> row maps, Cesaro sums add one sparse matrix per term, the
-single-vertex character checks have closed forms in the norm series, and
+single-vertex character checks have closed forms in the norm series,
 validity is searched grading by grading (factorization counts and every
-rewrite order of every raw word) instead of by critical words.  Tests compare library output against these.
+rewrite order of every raw word) instead of by critical words, direct
+products name every edge copy slot by slot, and the square stage checks its
+two sides one after the other.  Tests compare library output against these.
 """
 
 import itertools
@@ -31,7 +33,6 @@ from kfock.kgraph import (
     KGraph,
     Path,
     ValidationReport,
-    _square_structure_failures,
     degree_vectors,
     validate,
 )
@@ -286,16 +287,127 @@ def _reachable_normal_forms(g: KGraph, word, memo):
     return result
 
 
+def oracle_direct_product(graphs) -> KGraph:
+    """``builders.direct_product`` written slot by slot: each edge copy's
+    source and range are built by inserting the moved coordinate into the
+    other coordinates, and each square's four ids are named again from an
+    assignment of the slots outside the two colours."""
+    graphs = list(graphs)
+    k = len(graphs)
+    vertex_tuples = list(itertools.product(*(g.vertices for g in graphs)))
+    vname = {vt: ",".join(vt) for vt in vertex_tuples}
+
+    def edge_id(eid, slot, context):
+        return f"{eid}.{slot}({','.join(context)})"
+
+    edges = []
+    for slot in range(k):
+        others = [graphs[t].vertices for t in range(k) if t != slot]
+        for e in graphs[slot].edges:
+            for ctx in itertools.product(*others):
+                src = list(ctx)
+                src.insert(slot, e.src)
+                dst = list(ctx)
+                dst.insert(slot, e.dst)
+                edges.append(Edge(id=edge_id(e.id, slot + 1, ctx), color=slot + 1,
+                                  src=vname[tuple(src)], dst=vname[tuple(dst)]))
+
+    squares = []
+    for i, j in itertools.combinations(range(k), 2):
+        other_slots = [t for t in range(k) if t not in (i, j)]
+        others = [graphs[t].vertices for t in other_slots]
+        for e in graphs[i].edges:
+            for f in graphs[j].edges:
+                for ctx in itertools.product(*others):
+                    assign = dict(zip(other_slots, ctx))
+
+                    def copy_id(eid, slot, val_slot, val):
+                        coords = tuple(val if t == val_slot else assign[t]
+                                       for t in range(k) if t != slot)
+                        return edge_id(eid, slot + 1, coords)
+
+                    a = copy_id(e.id, i, j, f.dst)
+                    b = copy_id(f.id, j, i, e.src)
+                    b2 = copy_id(f.id, j, i, e.dst)
+                    a2 = copy_id(e.id, i, j, f.src)
+                    squares.append(CommutationSquare(lhs=(a, b), rhs=(b2, a2)))
+
+    return KGraph(k=k, vertices=[vname[vt] for vt in vertex_tuples],
+                  edges=edges, squares=squares)
+
+
+def oracle_square_structure_failures(g: KGraph):
+    """Stage (a) of ``validate`` written out once per side: duplicates,
+    mismatches against the composable pairs and cell counts for the
+    color-sorted side, then the same again for the reversed side."""
+    failures = []
+    by_pair = {}
+    for sq in g.squares:
+        i = g.edge(sq.lhs[0]).color
+        j = g.edge(sq.lhs[1]).color
+        by_pair.setdefault((i, j), []).append(sq)
+    for i, j in itertools.combinations(range(1, g.k + 1), 2):
+        sqs = by_pair.get((i, j), [])
+        # composable pairs, walking on from the end of the edge applied first
+        lhs_expected = {(a.id, b.id) for b in g.edges_of_color(j)
+                        for a in g.out_edges(b.dst, i)}
+        rhs_expected = {(b.id, a.id) for a in g.edges_of_color(i)
+                        for b in g.out_edges(a.dst, j)}
+        lhs_seen = Counter(sq.lhs for sq in sqs)
+        rhs_seen = Counter(sq.rhs for sq in sqs)
+        for pair, cnt in lhs_seen.items():
+            if cnt > 1:
+                failures.append({"kind": "square-duplicate-lhs", "colors": [i, j],
+                                 "pair": list(pair)})
+        for pair, cnt in rhs_seen.items():
+            if cnt > 1:
+                failures.append({"kind": "square-duplicate-rhs", "colors": [i, j],
+                                 "pair": list(pair)})
+        missing = sorted(lhs_expected - set(lhs_seen))
+        extra = sorted(set(lhs_seen) - lhs_expected)
+        if missing or extra:
+            failures.append({"kind": "square-lhs-mismatch", "colors": [i, j],
+                             "missing": [list(p) for p in missing],
+                             "extra": [list(p) for p in extra]})
+        missing = sorted(rhs_expected - set(rhs_seen))
+        extra = sorted(set(rhs_seen) - rhs_expected)
+        if missing or extra:
+            failures.append({"kind": "square-rhs-mismatch", "colors": [i, j],
+                             "missing": [list(p) for p in missing],
+                             "extra": [list(p) for p in extra]})
+        # per vertex pair the two sides must pair off
+        e_cells = Counter()
+        for a, b in lhs_expected:
+            e_cells[(g.edge(a).dst, g.edge(b).src)] += 1
+        f_cells = Counter()
+        for b, a in rhs_expected:
+            f_cells[(g.edge(b).dst, g.edge(a).src)] += 1
+        for cell in sorted(set(e_cells) | set(f_cells)):
+            if e_cells[cell] != f_cells[cell]:
+                failures.append({"kind": "pair-cardinality", "colors": [i, j],
+                                 "cell": list(cell),
+                                 "counts": [e_cells[cell], f_cells[cell]]})
+        for sq in sqs:
+            a, b = (g.edge(x) for x in sq.lhs)
+            b2, a2 = (g.edge(x) for x in sq.rhs)
+            bad = (a.src != b.dst or b2.src != a2.dst
+                   or a.dst != b2.dst or b.src != a2.src)
+            if bad:
+                failures.append({"kind": "square-endpoints",
+                                 "lhs": list(sq.lhs), "rhs": list(sq.rhs)})
+    return failures
+
+
 def oracle_validate(g: KGraph, max_grading: int) -> ValidationReport:
     """Grading-bounded search for the factorization property.
 
-    After the library's square-bijection stage, every canonical path of
-    grading <= max_grading must have exactly one factorization per degree
-    split, counted over all pairs of shorter paths, and every composable raw
-    word of length <= max_grading must reach one color-sorted word whatever
-    rewrite positions are chosen.
+    After the square-bijection stage of ``oracle_square_structure_failures``,
+    every canonical path of grading <= max_grading must have exactly one
+    factorization per degree split, counted over all pairs of shorter paths,
+    and every composable raw word of length <= max_grading must reach one
+    color-sorted word whatever rewrite positions are chosen.
     """
-    failures = _square_structure_failures(g)
+    failures = oracle_square_structure_failures(g)
     stats = {"pathsChecked": 0, "wordsChecked": 0, "squares": len(g.squares)}
     if not failures:
         for t in range(1, max_grading + 1):

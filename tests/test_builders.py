@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import _random_squares, closure_class_count, oracle_validate
+from conftest import _random_squares, closure_class_count, oracle_direct_product, oracle_validate
 from kfock import builders
 from kfock.errors import ConstructionError, DomainError
 from kfock.kgraph import CommutationSquare, Edge, KGraph, validate
@@ -56,6 +56,38 @@ def test_product_of_single_loops_matches_single_vertex(sv11):
     ])
     for n in itertools.product(range(4), range(4)):
         assert len(prod.paths_of_degree(n)) == len(sv11.paths_of_degree(n)) == 1
+
+
+PRODUCT_ATOMS = ("f1", "f2", "f3", "c1", "c2", "c3", "c4")
+
+
+def _as_built(g):
+    """Everything a ``KGraph`` keeps of its input, edges in the order given."""
+    return g.k, g.vertices, tuple(g._edge.values()), g.squares
+
+
+def _random_factors(rng):
+    """One to three random 1-graphs on one to three vertices, with up to four
+    edges each: loops, parallel edges and edgeless factors all occur."""
+    factors = []
+    for _ in range(int(rng.integers(1, 4))):
+        vertices = tuple(f"v{t}" for t in range(int(rng.integers(1, 4))))
+        edges = tuple((f"e{t}", vertices[int(rng.integers(len(vertices)))],
+                       vertices[int(rng.integers(len(vertices)))])
+                      for t in range(int(rng.integers(0, 5))))
+        factors.append(builders.from_digraph(builders.Digraph(vertices, edges)))
+    return factors
+
+
+def test_direct_product_agrees_with_oracle():
+    cases = [[builders.from_digraph(builders._atom_digraph(t)) for t in atoms] for r in (1, 2, 3)
+             for atoms in itertools.product(PRODUCT_ATOMS, repeat=r)]
+    rng = np.random.default_rng(1505)
+    cases += [_random_factors(rng) for _ in range(300)]
+    for factors in cases:
+        assert _as_built(builders.direct_product(factors)) == _as_built(
+            oracle_direct_product(factors))
+    assert len(cases) == 7 + 49 + 343 + 300
 
 
 def _chain_factors():

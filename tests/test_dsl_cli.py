@@ -245,10 +245,27 @@ def test_cli_gelfand_samples(tmp_path):
         assert s["multiplicativity"]["maxResidual"] <= 1e-9
 
 
-def test_cli_gelfand_refuses_a_negative_sample_count(capsys):
+@pytest.mark.parametrize("cmd", ["validate", "analyze", "fock", "gelfand"])
+def test_cli_announces_a_failure_report_written_to_json(tmp_path, capsys, monkeypatch, cmd):
+    # a graph that fails validation stops every command at the same report
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([cmd, "single-vertex", "2", "2", "2", "cyclic", "--json", "r.json"]) == 2
+    assert capsys.readouterr().out == "report written to r.json\n"
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["command"] == "validate" and report["validation"]["ok"] is False
+
+
+@pytest.mark.parametrize("option,value,message", [
+    ("--samples", "-1", "--samples: must be >= 0"),
+    ("--seed", "-1", "--seed: must be >= 0"),
+    ("--alpha", "1 2 x", "--alpha: want complex numbers separated by commas or spaces"),
+], ids=["samples", "seed", "alpha"])
+def test_cli_gelfand_refuses_a_negative_sample_count(capsys, option, value, message):
     assert cli.main(["gelfand", "single-vertex", "2", "2", "cyclic",
-                     "--samples", "-1"]) == 1
-    assert "--samples: must be >= 0" in capsys.readouterr().err
+                     option, value]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_cli_gelfand_explicit_alpha(tmp_path):
@@ -299,7 +316,16 @@ def test_float_formatting_is_clamped():
     ["validate", "{tmp}/latin1.kg"],
     ["validate", "chain", "3", "--json", "{tmp}/no/r.json"],
     ["fock", "chain", "3", "--trunc", "2", "--out", "{tmp}/taken"],
-], ids=["directory-as-graph", "spec-not-utf8", "json-in-missing-dir", "out-is-a-file"])
+    ["validate", "cycle", "x", "2"],
+    ["validate", "chain", "3.5"],
+    ["validate", "single-vertex", "2", "2", "seed:x"],
+    ["validate", "single-vertex", "2", "2", "seed:"],
+    ["validate", "single-vertex", "2", "2", "seed:-1"],
+    ["example", "cycle", "x", "2"],
+    ["validate", "product", "f\u00b2"],
+], ids=["directory-as-graph", "spec-not-utf8", "json-in-missing-dir", "out-is-a-file",
+        "count-not-integer", "count-not-integral", "seed-not-integer", "seed-empty",
+        "seed-negative", "example-count-not-integer", "atom-superscript-count"])
 def test_cli_unreadable_or_unwritable_path_is_an_error_report(tmp_path, capsys, argv):
     (tmp_path / "latin1.kg").write_bytes("# caf\xe9\ncolors 1\n".encode("latin-1"))
     (tmp_path / "taken").write_text("")
