@@ -21,7 +21,6 @@ __all__ = [
     "bouquet",
     "chain",
     "transpose",
-    "relabel_edges",
     "identity_table",
     "cyclic_table",
     "random_table",
@@ -260,23 +259,6 @@ def transpose(g: KGraph) -> KGraph:
     squares = [CommutationSquare(lhs=(sq.rhs[1], sq.rhs[0]),
                                  rhs=(sq.lhs[1], sq.lhs[0]))
                for sq in g.squares]
-    return KGraph(k=g.k, vertices=g.vertices, edges=edges, squares=squares)
-
-
-def relabel_edges(g: KGraph, rename) -> KGraph:
-    """Copy of ``g`` with edge ids renamed by a mapping or callable."""
-    if not callable(rename):
-        mapping = dict(rename)
-        rename = lambda eid: mapping.get(eid, eid)
-    new_ids = {e.id: rename(e.id) for e in g.edges}
-    if len(set(new_ids.values())) != len(new_ids):
-        raise ConstructionError("edge renaming must stay injective")
-    edges = [Edge(id=new_ids[e.id], color=e.color, src=e.src, dst=e.dst)
-             for e in g.edges]
-    squares = [CommutationSquare(
-        lhs=(new_ids[sq.lhs[0]], new_ids[sq.lhs[1]]),
-        rhs=(new_ids[sq.rhs[0]], new_ids[sq.rhs[1]]),
-    ) for sq in g.squares]
     return KGraph(k=g.k, vertices=g.vertices, edges=edges, squares=squares)
 
 

@@ -6,14 +6,18 @@ leftmost letter stripped), ``lead(i)`` (that letter, which has the smallest
 colour of the word), the source and range vertex codes and the grading.  They
 are built grade by grade with the recursion of ``KGraph._paths``, so each
 degree is one contiguous run of indices; the size of a grade is known before
-it is allocated.  ``basis[i]`` rebuilds a ``Path`` from the parent chain on
+it is allocated.  Grade t tries only the degrees that extend a nonempty block
+of grade t - 1 at its smallest colour, and the build stops at the first grade
+with none, so its work is bounded by the basis, not by the number of degree
+vectors up to N.  ``basis[i]`` rebuilds a ``Path`` from the parent chain on
 demand.  The space holds one representation that every operator is read
 from: integer edge-action tables
 
     left[e, i]  = index of e xi_i      right[e, i] = index of xi_i e
 
 with -1 where the edges do not compose or the image lies beyond N.  They are
-built once, lazily, grade by grade from the links:
+built once, lazily, grade by grade from the links, after a check that one
+table has at most ``MAX_TABLE_ENTRIES`` entries:
 
 * the colour-sorted entries, where colour(e) <= colour(lead(p)), are
   ``left[lead(i), parent(i)] = i``;
@@ -38,8 +42,7 @@ The isometries of ``orthogonal_isometries`` sum creation operators on
 disjoint columns (each term starts at its own vertex), so they are maps too;
 a Cesaro sum gathers its terms' entries, kept apart by unique factorization.
 scipy is imported only where a CSR matrix or a Matrix Market file is built
-(``SparseOperator.matrix`` and the arithmetic that reads it, ``identity_op``,
-``grading_projection``, ``diagonal_part``, ``cesaro``,
+(``SparseOperator.matrix`` and the arithmetic that reads it, ``cesaro``,
 ``write_matrix_market``): the exact checks read column -> row maps alone, so a
 process that builds no matrix never pays for loading scipy.
 """
@@ -50,7 +53,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import BudgetError, DomainError, MalformedGraphError, UnsupportedGraphError
-from .kgraph import KGraph, Path, degree_vectors
+from .kgraph import KGraph, Path
 
 __all__ = [
     "TruncatedFock",
@@ -58,24 +61,26 @@ __all__ = [
     "left_op",
     "right_op",
     "word_op",
-    "identity_op",
-    "grading_projection",
     "fourier_coefficient",
     "fourier_series",
     "cesaro",
-    "diagonal_part",
     "image",
     "commutant_residual",
     "partial_isometry_residual",
     "same_degree_range_conflicts",
     "orthogonal_isometries",
     "verify_cycle_blocks",
-    "transpose_pairing",
     "write_matrix_market",
     "write_basis_manifest",
 ]
 
 MAX_DIMENSION = 1_000_000  # largest basis TruncatedFock builds
+MAX_TABLE_ENTRIES = 2 ** 25  # largest edge-action table, |E| x (dimension + 1): 256 MiB of int64
+
+
+def _first_colour(n, default=None):
+    """Index of the smallest colour of a degree vector (``default`` for 0)."""
+    return next((c for c, x in enumerate(n) if x), default)
 
 
 class _Basis(Sequence):
@@ -130,14 +135,21 @@ class TruncatedFock:
         src = dst = np.arange(nv)  # of the previous grade
         grades = [(np.full(nv, -1), np.full(nv, -1), src, dst)]  # parent, lead, src, dst
         self.blocks = {(0,) * graph.k: (0, nv)}  # degree -> (start, stop)
-        self._grades = [(0, nv)]
+        self._grades = [(0, nv)]  # (start, stop) of each grade built
+        grown = [(0,) * graph.k]  # the degrees of the last grade that hold a path
         for t in range(1, self.trunc + 1):
             # the recursion of KGraph._paths: the colour-c edges in id order,
-            # each followed by the degree-(n - e_c) paths that end at its source
+            # each followed by the degree-(n - e_c) paths that end at its source,
+            # c the smallest colour of n; so n extends a grown degree m at a
+            # colour <= the smallest of m, and ascending order is degree order
+            degrees = sorted(m[:c] + (m[c] + 1,) + m[c + 1:] for m in grown
+                             for c in range(_first_colour(m, graph.k - 1) + 1))
+            if not degrees:
+                break
             start, total = self._grades[-1]
             plan = []
-            for n in reversed(tuple(degree_vectors(graph.k, t))):
-                c = next(i for i, x in enumerate(n) if x)
+            for n in degrees:
+                c = _first_colour(n)
                 lo, hi = self.blocks[n[:c] + (n[c] - 1,) + n[c + 1:]]
                 sub = dst[lo - start:hi - start]
                 count = np.bincount(sub, minlength=nv)
@@ -157,10 +169,11 @@ class TruncatedFock:
             src, dst = src[p - start], edst[e]
             grades.append((p, e, src, dst))
             self._grades.append((self._grades[-1][1], total))
+            grown = [n for n in degrees if self.blocks[n][1] > self.blocks[n][0]]
         parent, lead, src, dst = (np.concatenate(a) for a in zip(*grades))
         self._links = (parent, lead)
         self.ends = (src, dst)
-        self.deltas = np.repeat(np.arange(self.trunc + 1),
+        self.deltas = np.repeat(np.arange(len(self._grades)),
                                 [stop - start for start, stop in self._grades])
 
     @property
@@ -183,14 +196,17 @@ class TruncatedFock:
         return i
 
     def grade_indices(self, t: int) -> np.ndarray:
-        if not 0 <= t <= self.trunc:
+        if not 0 <= t < len(self._grades):  # no path past the last grade built
             return np.array([], dtype=np.int64)
         return np.arange(*self._grades[t])
 
     def interior_indices(self, margin: int) -> np.ndarray:
         """Indices of grading <= N - margin: a prefix, as the basis is sorted by grading."""
-        t = self.trunc - margin
-        return np.arange(self._grades[min(t, self.trunc)][1] if t >= 0 else 0)
+        return np.arange(self._prefix_end(self.trunc - margin))
+
+    def _prefix_end(self, t: int) -> int:
+        """Number of basis paths of grading <= t."""
+        return self._grades[min(t, len(self._grades) - 1)][1] if t >= 0 else 0
 
     def generator_paths(self):
         """Identity paths and single edges, the operator generators."""
@@ -339,6 +355,9 @@ def _left_table(fock: TruncatedFock) -> np.ndarray:
     code = fock.edge_codes
     color, esrc, edst = fock._edge_arrays
     parent, lead = fock.parent_links()
+    if len(edges) * (fock.dimension + 1) > MAX_TABLE_ENTRIES:  # right has the same size
+        raise BudgetError(f"an edge-action table of {len(edges)} x {fock.dimension + 1} "
+                          f"entries is over {MAX_TABLE_ENTRIES}")
     left = np.full((len(edges), fock.dimension + 1), -1, dtype=np.int64)
     nz = np.flatnonzero(parent >= 0)
     left[lead[nz], parent[nz]] = nz
@@ -348,7 +367,7 @@ def _left_table(fock: TruncatedFock) -> np.ndarray:
     keys = np.append(keys, len(edges) ** 2)  # a key past every pair's, for pairs with no square
     sides = np.append(sq[first, 2:], [[-1, -1]], axis=0)
 
-    for t in range(1, fock.trunc + 1):
+    for t in range(1, len(fock._grades)):
         idx = fock.grade_indices(t)
         f = lead[idx]
         swap = (color[:, None] > color[f]) & (esrc[:, None] == edst[f])
@@ -383,7 +402,7 @@ def _right_table(fock: TruncatedFock) -> np.ndarray:
     edge_path = left[np.arange(len(left)), ident[esrc]]
     right[:, ident] = np.where(edst[:, None] == np.arange(len(ident)),
                                edge_path[:, None], -1)
-    for t in range(1, fock.trunc + 1):
+    for t in range(1, len(fock._grades)):
         idx = fock.grade_indices(t)
         right[:, idx] = left[lead[idx], right[:, parent[idx]]]
     return right
@@ -421,21 +440,6 @@ def right_op(fock: TruncatedFock, what) -> SparseOperator:
     return _creation_op(fock, lam, fock.right, fock.ends[0], lam.word)
 
 
-def identity_op(fock: TruncatedFock) -> SparseOperator:
-    import scipy.sparse as sp
-
-    return SparseOperator(fock, sp.identity(fock.dimension, dtype=np.int64, format="csr"))
-
-
-def grading_projection(fock: TruncatedFock, t: int) -> SparseOperator:
-    """E_t: the diagonal projection onto the grade-t slice of the basis."""
-    import scipy.sparse as sp
-
-    diag = np.zeros(fock.dimension, dtype=np.int64)
-    diag[fock.grade_indices(t)] = 1
-    return SparseOperator(fock, sp.diags(diag, format="csr", dtype=np.int64))
-
-
 def word_op(fock: TruncatedFock, word, base=None) -> SparseOperator:
     """Creation operator of a composable raw edge word (an empty word needs
     ``base``): ``left_op`` of its normal form.  This is also the product of
@@ -466,20 +470,6 @@ def fourier_series(op: SparseOperator) -> dict:
             if path.src == v:
                 out[path] = val
     return out
-
-
-def diagonal_part(op: SparseOperator, m: int) -> SparseOperator:
-    """Phi_m(A) = sum_j E_j A E_{j+m}: keep entries moving grade j+m -> j."""
-    import scipy.sparse as sp
-
-    fock = op.space
-    coo = op.matrix.tocoo()
-    keep = (fock.deltas[coo.col] - fock.deltas[coo.row]) == m
-    mat = sp.csr_matrix(
-        (coo.data[keep], (coo.row[keep], coo.col[keep])),
-        shape=op.matrix.shape,
-    )
-    return SparseOperator(fock, mat)
 
 
 def cesaro(op: SparseOperator, n: int) -> SparseOperator:
@@ -681,32 +671,6 @@ def verify_cycle_blocks(n: int, k: int, trunc: int) -> dict:
     }
 
 
-def transpose_pairing(fock: TruncatedFock, fock_t: TruncatedFock) -> np.ndarray:
-    """perm[i] = index in ``fock_t`` of the reversed path of basis[i].
-
-    The permutation realizes the unitary identifying the two Fock spaces
-    under edge reversal.  Path i is lead(i) parent(i), so its reversal is
-    that of parent(i) with lead(i) applied first: perm[i] =
-    fock_t.right[lead(i), perm[parent(i)]], grade by grade from the
-    identities.  Raises ``DomainError`` when ``fock_t``'s graph is not
-    ``fock``'s reversed or a reversed path lies past its truncation.
-    """
-    g, g_t = fock.graph, fock_t.graph
-    if ((g_t.vertices, [(e.id, e.color, e.src, e.dst) for e in g_t.edges])
-            != (g.vertices, [(e.id, e.color, e.dst, e.src) for e in g.edges])):
-        raise DomainError("the second space is not over the transposed graph")
-    parent, lead = fock.parent_links()
-    perm = np.empty(fock.dimension, dtype=np.int64)
-    perm[fock.grade_indices(0)] = fock_t.grade_indices(0)
-    for t in range(1, fock.trunc + 1):
-        idx = fock.grade_indices(t)
-        perm[idx] = fock_t.right[lead[idx], perm[parent[idx]]]
-    if (perm < 0).any():
-        raise DomainError(f"the reversal of {fock.basis[int(np.argmax(perm < 0))]!r} "
-                          f"is not a basis path of {fock_t!r}")
-    return perm
-
-
 # -- export --------------------------------------------------------------------
 
 
@@ -723,7 +687,7 @@ def write_basis_manifest(fock: TruncatedFock, path) -> None:
     parent, lead = fock.parent_links()
     eid = [e.id for e in g.edges]
     words = list(g.vertices)  # the identities come first, in vertex order
-    for t in range(1, fock.trunc + 1):  # a word is its leading edge, then its parent's
+    for t in range(1, len(fock._grades)):  # a word is its leading edge, then its parent's
         idx = fock.grade_indices(t)
         words += [eid[e] if t == 1 else f"{eid[e]} {words[p]}"
                   for e, p in zip(lead[idx].tolist(), parent[idx].tolist())]

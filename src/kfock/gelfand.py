@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UnsupportedGraphError
-from .kgraph import KGraph, Path, degree_vectors
+from .kgraph import KGraph, degree_vectors
 
 __all__ = [
     "VarietyBinomial",
@@ -29,7 +29,6 @@ __all__ = [
     "in_ball",
     "ball_norms",
     "evaluate_word",
-    "evaluate_path",
     "omega_vector",
     "omega_norm_check",
     "truncation_for_tail",
@@ -157,11 +156,6 @@ def evaluate_word(g: KGraph, alpha, word) -> complex:
     for eid in reversed(tuple(word)):
         val = coords[eid] * val
     return val
-
-
-def evaluate_path(g: KGraph, alpha, path: Path) -> complex:
-    """Evaluation of a canonical path (an identity evaluates to 1)."""
-    return evaluate_word(g, alpha, path.word)
 
 
 # -- the eigenvector -----------------------------------------------------------
@@ -335,9 +329,6 @@ class Character:
     def on_word(self, word) -> complex:
         return evaluate_word(self.graph, self.point, word)
 
-    def on_path(self, path: Path) -> complex:
-        return evaluate_path(self.graph, self.point, path)
-
     def generator_values(self) -> dict:
         coords = _coord_map(self.graph, self.point)
         return dict(sorted(coords.items()))
@@ -394,14 +385,14 @@ def multiplicativity_check(fock, alpha, grading_budget: int = 3,
     vec = vec / np.linalg.norm(vec)
 
     N = fock.trunc
-    words = fock.basis[:fock._grades[min(grading_budget, N)][1]]
+    words = fock.basis[:fock._prefix_end(grading_budget)]
     parent, lead = fock.parent_links()
     conj = np.conj(vec)
     U = np.zeros((len(words), fock.dimension), dtype=complex)
     Y = np.zeros(U.shape, dtype=complex)
     maps = {}  # word index -> its map on the prefix, kept for the words of grading < budget
     for i, p in enumerate(words):
-        n_p = fock._grades[N - p.delta][1]
+        n_p = fock._prefix_end(N - p.delta)
         img = np.arange(n_p) if parent[i] < 0 else fock.left[lead[i], maps[parent[i]][:n_p]]
         if p.delta < grading_budget:
             maps[i] = img

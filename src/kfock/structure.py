@@ -9,7 +9,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import BudgetError, CompositionError, DomainError
+from .errors import BudgetError
 from .kgraph import KGraph
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "double_pure_cycle_property",
     "classify_vertices",
     "reflexivity_report",
-    "extremal_factorization_check",
     "radical_check",
     "structure_report",
 ]
@@ -235,42 +234,6 @@ def _reflexivity(g: KGraph, classes: dict) -> dict:
         "relationalUnknownVertices": unknown,
         "singleVertexHinfty": single_hinfty,
     }
-
-
-def extremal_factorization_check(g: KGraph, paths) -> bool:
-    """Check that a lexicographically maximal element of a fixed-grading set
-    only factors trivially: if its r-th power splits into r members of the
-    set, every factor is the element itself.  Brute force over r <= 3.
-    """
-    paths = list(paths)
-    if not paths:
-        return True
-    deltas = {p.delta for p in paths}
-    if len(deltas) != 1:
-        raise DomainError("all paths must share one grading value")
-    gamma = max(paths, key=lambda p: p.degree)
-    for r in range(1, 4):
-        try:
-            target = g.power(gamma, r)
-        except CompositionError:
-            continue  # gamma^r does not exist; nothing to factor
-        # factors in applied order: first factor starts at the target's source
-        stack = [(target.src, ())]
-        while stack:
-            at, chosen = stack.pop()
-            if len(chosen) == r:
-                if at != target.dst:
-                    continue
-                acc = None
-                for p in chosen:
-                    acc = p if acc is None else g.compose(p, acc)
-                if acc == target and any(p != gamma for p in chosen):
-                    return False
-                continue
-            for p in paths:
-                if p.src == at:
-                    stack.append((p.dst, (*chosen, p)))
-    return True
 
 
 def radical_check(g: KGraph, fock_space, word_grading: int = 2,

@@ -14,6 +14,8 @@ validity is searched grading by grading (factorization counts and every
 rewrite order of every raw word) instead of by critical words, direct
 products name every edge copy slot by slot, and the square stage checks its
 two sides one after the other.  Tests compare library output against these.
+The helpers before the oracles build operators, permutations and graphs that
+only tests need, from the library's public API.
 """
 
 import itertools
@@ -25,7 +27,7 @@ import pytest
 import scipy.sparse as sp
 
 from kfock import builders, fock, gelfand, structure
-from kfock.errors import BudgetError, MalformedGraphError
+from kfock.errors import BudgetError, CompositionError, DomainError, MalformedGraphError
 from kfock.fock import SparseOperator
 from kfock.kgraph import (
     CommutationSquare,
@@ -72,6 +74,98 @@ def f2xf3():
         builders.from_digraph(builders.bouquet_digraph(2)),
         builders.from_digraph(builders.bouquet_digraph(3)),
     ])
+
+
+# -- helpers -------------------------------------------------------------------
+
+
+def identity_op(space):
+    return SparseOperator(space, sp.identity(space.dimension, dtype=np.int64, format="csr"))
+
+
+def grading_projection(space, t):
+    """E_t: the diagonal projection onto the grade-t slice of the basis."""
+    diag = np.zeros(space.dimension, dtype=np.int64)
+    diag[space.grade_indices(t)] = 1
+    return SparseOperator(space, sp.diags(diag, format="csr", dtype=np.int64))
+
+
+def diagonal_part(op, m):
+    """Phi_m(A) = sum_j E_j A E_{j+m}: keep entries moving grade j+m -> j."""
+    coo = op.matrix.tocoo()
+    keep = (op.space.deltas[coo.col] - op.space.deltas[coo.row]) == m
+    return SparseOperator(op.space, sp.csr_matrix(
+        (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=coo.shape))
+
+
+def transpose_pairing(space, space_t):
+    """perm[i] = index in ``space_t`` of the reversed path of basis[i].
+
+    The permutation realizes the unitary identifying the two Fock spaces
+    under edge reversal.  Path i is lead(i) parent(i), so its reversal is
+    that of parent(i) with lead(i) applied first: perm[i] =
+    space_t.right[lead(i), perm[parent(i)]], grade by grade from the
+    identities.  Raises ``DomainError`` when ``space_t``'s graph is not
+    ``space``'s reversed or a reversed path lies past its truncation.
+    """
+    g, g_t = space.graph, space_t.graph
+    if ((g_t.vertices, [(e.id, e.color, e.src, e.dst) for e in g_t.edges])
+            != (g.vertices, [(e.id, e.color, e.dst, e.src) for e in g.edges])):
+        raise DomainError("the second space is not over the transposed graph")
+    parent, lead = space.parent_links()
+    perm = np.empty(space.dimension, dtype=np.int64)
+    perm[space.grade_indices(0)] = space_t.grade_indices(0)
+    for t in range(1, int(space.deltas[-1]) + 1):  # the last grade that holds a path
+        idx = space.grade_indices(t)
+        perm[idx] = space_t.right[lead[idx], perm[parent[idx]]]
+    if (perm < 0).any():
+        raise DomainError(f"the reversal of {space.basis[int(np.argmax(perm < 0))]!r} "
+                          f"is not a basis path of {space_t!r}")
+    return perm
+
+
+def relabel_edges(g: KGraph, rename) -> KGraph:
+    """Copy of ``g`` with each edge id ``x`` renamed ``rename(x)``."""
+    edges = [Edge(id=rename(e.id), color=e.color, src=e.src, dst=e.dst) for e in g.edges]
+    squares = [CommutationSquare(lhs=tuple(map(rename, sq.lhs)), rhs=tuple(map(rename, sq.rhs)))
+               for sq in g.squares]
+    return KGraph(k=g.k, vertices=g.vertices, edges=edges, squares=squares)
+
+
+def extremal_factorization_check(g: KGraph, paths) -> bool:
+    """Check that a lexicographically maximal element of a fixed-grading set
+    only factors trivially: if its r-th power splits into r members of the
+    set, every factor is the element itself.  Brute force over r <= 3.
+    """
+    paths = list(paths)
+    if not paths:
+        return True
+    deltas = {p.delta for p in paths}
+    if len(deltas) != 1:
+        raise DomainError("all paths must share one grading value")
+    gamma = max(paths, key=lambda p: p.degree)
+    for r in range(1, 4):
+        try:
+            target = g.power(gamma, r)
+        except CompositionError:
+            continue  # gamma^r does not exist; nothing to factor
+        # factors in applied order: first factor starts at the target's source
+        stack = [(target.src, ())]
+        while stack:
+            at, chosen = stack.pop()
+            if len(chosen) == r:
+                if at != target.dst:
+                    continue
+                acc = None
+                for p in chosen:
+                    acc = p if acc is None else g.compose(p, acc)
+                if acc == target and any(p != gamma for p in chosen):
+                    return False
+                continue
+            for p in paths:
+                if p.src == at:
+                    stack.append((p.dst, (*chosen, p)))
+    return True
 
 
 # -- oracles -------------------------------------------------------------------
@@ -466,15 +560,18 @@ def oracle_basis_size(graph: KGraph, trunc: int) -> int:
     return total
 
 
-def _composition_op(space, compose):
+def _composition_op(space, lam, compose):
     """The basis is the ``KGraph`` enumeration, indexed by a dict, so the
-    oracle reads neither the space's arrays nor its tables."""
+    oracle reads neither the space's arrays nor its tables.  A product with
+    ``lam`` past the truncation is dropped before it is composed."""
     basis = space.graph.all_paths_up_to(space.trunc)
     index = {p: i for i, p in enumerate(basis)}
     rows, cols = [], []
     for col, mu in enumerate(basis):
+        if mu.delta > space.trunc - lam.delta:
+            continue
         target = compose(mu)
-        if target is not None and target.delta <= space.trunc:
+        if target is not None:
             rows.append(index[target])
             cols.append(col)
     m = sp.csr_matrix(
@@ -489,7 +586,7 @@ def oracle_left_op(space, what):
     lam = space.as_path(what)
     g = space.graph
     return _composition_op(
-        space, lambda mu: g.compose(lam, mu) if lam.src == mu.dst else None)
+        space, lam, lambda mu: g.compose(lam, mu) if lam.src == mu.dst else None)
 
 
 def oracle_right_op(space, what):
@@ -497,7 +594,7 @@ def oracle_right_op(space, what):
     lam = space.as_path(what)
     g = space.graph
     return _composition_op(
-        space, lambda mu: g.compose(mu, lam) if mu.src == lam.dst else None)
+        space, lam, lambda mu: g.compose(mu, lam) if mu.src == lam.dst else None)
 
 
 def oracle_range_conflicts(space):
@@ -569,7 +666,7 @@ def oracle_orthogonal_isometries(g, space, witness=None):
     V, terms_v = build(2)
     margin_u = max(t.delta for t in terms_u)
     orth = (U.adjoint() @ V).max_abs()
-    isom = (U.adjoint() @ U - fock.identity_op(space)).max_abs_interior(margin_u)
+    isom = (U.adjoint() @ U - identity_op(space)).max_abs_interior(margin_u)
     block_dim = len(space.interior_indices(margin_u))
     report = {
         "vertex": witness.vertex,

@@ -51,6 +51,26 @@ def test_arrays_agree_with_enumeration(name, g):
         assert space.blocks[(2, 2)] == (space.dimension, space.dimension)
 
 
+def test_basis_build_stops_where_the_paths_stop():
+    # chain 3 has no path longer than 2, while grades 0..1,000 hold 501,501 degree vectors
+    space = fock.TruncatedFock(builders.chain(3), 1000)
+    assert space.dimension == 10 and len(space.blocks) <= 30
+    assert len(space.grade_indices(3)) == len(space.grade_indices(1000)) == 0
+    assert np.array_equal(space.interior_indices(998), np.arange(10))
+    assert fock.commutant_residual(space) == 0
+
+
+def test_basis_build_tries_only_degrees_that_extend_a_path():
+    # a loop times an edge: a path of each grading, in at most 3 degrees
+    g = builders.direct_product([builders.from_digraph(builders.cycle_digraph(1)),
+                                 builders.from_digraph(builders.chain_digraph(2))])
+    assert validate(g).ok
+    space = fock.TruncatedFock(g, 1000)
+    assert space.dimension == 3002 and len(space.blocks) <= 3 * 1001
+    assert space.index_of(space.basis[-1]) == space.dimension - 1
+    assert fock.commutant_residual(space) == 0
+
+
 @pytest.mark.parametrize("name,g", _array_graphs(), ids=[n for n, _ in _array_graphs()])
 def test_interior_indices_are_the_grading_prefix(name, g):
     for trunc in range(6):

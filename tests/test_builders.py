@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import _random_squares, closure_class_count, oracle_direct_product, oracle_validate
+from conftest import (_random_squares, closure_class_count, oracle_direct_product, oracle_validate,
+                      relabel_edges)
 from kfock import builders
 from kfock.errors import ConstructionError, DomainError
 from kfock.kgraph import CommutationSquare, Edge, KGraph, validate
@@ -92,7 +93,7 @@ def test_direct_product_agrees_with_oracle():
 
 def _chain_factors():
     a = builders.from_digraph(builders.chain_digraph(3))
-    b = builders.relabel_edges(a, lambda eid: eid.replace("a", "b"))
+    b = relabel_edges(a, lambda eid: eid.replace("a", "b"))
     return a, b
 
 
@@ -136,7 +137,7 @@ def test_theta_product_requires_disjoint_ids():
 
 def _two_cycles():
     a = builders.from_digraph(builders.cycle_digraph(2))
-    return a, builders.relabel_edges(a, lambda eid: eid.replace("e", "f"))
+    return a, relabel_edges(a, lambda eid: eid.replace("e", "f"))
 
 
 CHAIN_THETA = {("a2", "b1"): ("b2", "a1")}
@@ -186,7 +187,7 @@ def _random_theta_case(rng):
             for t in range(int(rng.integers(1, 5))))))
 
     a = digraph("a")
-    b = builders.relabel_edges(a, lambda eid: "b" + eid[1:]) if rng.random() < 0.6 else digraph("b")
+    b = relabel_edges(a, lambda eid: "b" + eid[1:]) if rng.random() < 0.6 else digraph("b")
     edges = [Edge(e.id, 1, e.src, e.dst) for e in a.edges]
     edges += [Edge(e.id, 2, e.src, e.dst) for e in b.edges]
     squares = _random_squares(rng, 2, edges) if rng.random() < 0.6 else None
@@ -254,7 +255,7 @@ def test_cycle_theta_is_forced():
     """Gluing a cycle with itself admits exactly one pair bijection."""
     for n in (2, 3, 4):
         a = builders.from_digraph(builders.cycle_digraph(n))
-        b = builders.relabel_edges(a, lambda eid: eid.replace("e", "f"))
+        b = relabel_edges(a, lambda eid: eid.replace("e", "f"))
         cells = {}
         for ea in a.edges:
             for eb in b.edges:

@@ -232,6 +232,15 @@ def test_cli_gelfand_refuses_an_oversized_basis(capsys):
     assert json.loads(capsys.readouterr().out)["error"] == "BudgetError"
 
 
+def test_cli_fock_refuses_oversized_edge_tables(tmp_path, capsys):
+    # a basis of 70,000 paths; the first assert keeps a raised cap from
+    # allocating two tables of 6,000 x 70,001 entries
+    assert 6000 * 70_001 > fock.MAX_TABLE_ENTRIES
+    assert cli.main(["fock", "cycle", "2000", "3", "--trunc", "4",
+                     "--out", str(tmp_path)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "BudgetError"
+
+
 def test_cli_gelfand_samples(tmp_path):
     out = tmp_path / "g.json"
     code = cli.main(["gelfand", "single-vertex", "2", "2", "cyclic",

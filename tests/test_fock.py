@@ -1,10 +1,13 @@
 """Exact operator checks on truncated Fock spaces."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import oracle_basis_size
+from conftest import (diagonal_part, grading_projection, identity_op, oracle_basis_size,
+                      transpose_pairing)
 from kfock import builders, fock
 from kfock.errors import BudgetError, DomainError, UnsupportedGraphError
 from kfock.kgraph import validate
@@ -46,26 +49,42 @@ def test_oversized_basis_is_refused_before_enumeration():
     assert g._paths_cache == {}
 
 
+def test_oversized_edge_tables_are_refused_before_allocation():
+    space = fock.TruncatedFock(builders.cycle_rank(2000, 3), 4)
+    assert space.dimension == 70_000  # far under MAX_DIMENSION
+    assert 6000 * 70_001 > fock.MAX_TABLE_ENTRIES  # each table would be 3.13 GiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            space.left
+        with pytest.raises(BudgetError):
+            space.right
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 24
+
+
 def test_grading_projections_partition(cyc_fock):
     total = sum(len(cyc_fock.grade_indices(t)) for t in range(cyc_fock.trunc + 1))
     assert total == cyc_fock.dimension
     acc = None
     for t in range(cyc_fock.trunc + 1):
-        e_t = fock.grading_projection(cyc_fock, t)
+        e_t = grading_projection(cyc_fock, t)
         acc = e_t if acc is None else acc + e_t
-    assert (acc - fock.identity_op(cyc_fock)).max_abs() == 0
+    assert (acc - identity_op(cyc_fock)).max_abs() == 0
 
 
 def test_diagonal_part_matches_projection_sandwich(cyc_fock):
     A = fock.left_op(cyc_fock, "e1") + 2 * fock.left_op(cyc_fock, "x2")
     for m in (-1, 0, 1):
-        direct = fock.diagonal_part(A, m)
+        direct = diagonal_part(A, m)
         acc = None
         for j in range(cyc_fock.trunc + 1):
             if not 0 <= j + m <= cyc_fock.trunc:
                 continue
-            piece = (fock.grading_projection(cyc_fock, j) @ A
-                     @ fock.grading_projection(cyc_fock, j + m))
+            piece = (grading_projection(cyc_fock, j) @ A
+                     @ grading_projection(cyc_fock, j + m))
             acc = piece if acc is None else acc + piece
         assert acc is not None
         assert (direct - acc).max_abs() == 0
@@ -202,11 +221,11 @@ def test_cesaro_interior_entries_converge(cyc_fock):
 
 def test_diagonal_part_extracts_grades(cyc_fock):
     A = fock.left_op(cyc_fock, "e1") + fock.left_op(cyc_fock, "x1")
-    d0 = fock.diagonal_part(A, 0)
-    d1 = fock.diagonal_part(A, -1)
+    d0 = diagonal_part(A, 0)
+    d1 = diagonal_part(A, -1)
     assert (d0 - fock.left_op(cyc_fock, "x1")).max_abs() == 0
     assert (d1 - fock.left_op(cyc_fock, "e1")).max_abs() == 0
-    assert fock.diagonal_part(A, 1).nnz == 0
+    assert diagonal_part(A, 1).nnz == 0
     assert ((d0 + d1) - A).max_abs() == 0
 
 
@@ -263,7 +282,7 @@ def test_right_op_unitarily_equivalent_to_transposed_left(cycle32, chain3, sv22_
         N = 5
         f_g = fock.TruncatedFock(g, N)
         f_t = fock.TruncatedFock(gt, N)
-        perm = fock.transpose_pairing(f_g, f_t)
+        perm = transpose_pairing(f_g, f_t)
         U = sp.csr_matrix(
             (np.ones(f_g.dimension, dtype=np.int64),
              (np.arange(f_g.dimension), perm)),
@@ -282,16 +301,16 @@ def test_transpose_pairing_refuses_spaces_that_do_not_pair(cycle32):
     f_g = fock.TruncatedFock(cycle32, 4)
     gt = builders.transpose(cycle32)
     with pytest.raises(DomainError):
-        fock.transpose_pairing(f_g, fock.TruncatedFock(gt, 3))  # reversals past N = 3
+        transpose_pairing(f_g, fock.TruncatedFock(gt, 3))  # reversals past N = 3
     with pytest.raises(DomainError):
-        fock.transpose_pairing(f_g, fock.TruncatedFock(cycle32, 4))  # edges not reversed
+        transpose_pairing(f_g, fock.TruncatedFock(cycle32, 4))  # edges not reversed
 
 
 def test_image_needs_a_creation_operator(cyc_fock):
     op = fock.left_op(cyc_fock, "e1")
     assert fock.image(op) is op._image
     with pytest.raises(DomainError):
-        fock.image(fock.identity_op(cyc_fock))
+        fock.image(identity_op(cyc_fock))
 
 
 def test_matrix_market_export(tmp_path, cyc_fock):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import oracle_closed_form_character
+from conftest import identity_op, oracle_closed_form_character
 from kfock import builders, fock, gelfand
 from kfock.errors import DomainError, UnsupportedGraphError
 
@@ -55,9 +55,9 @@ def test_ball_membership_flips_at_equal_coordinate_radius():
 def test_evaluate_path_letterwise(sv11):
     alpha = ((0.5,), (0.3,))
     p = sv11.normal_form(("e1_1", "e1_1", "e2_1"))
-    assert gelfand.evaluate_path(sv11, alpha, p) == pytest.approx(0.075)
+    assert gelfand.evaluate_word(sv11, alpha, p.word) == pytest.approx(0.075)
     ident = sv11.identity("v")
-    assert gelfand.evaluate_path(sv11, alpha, ident) == 1
+    assert gelfand.evaluate_word(sv11, alpha, ident.word) == 1
 
 
 def test_evaluation_constant_on_classes_on_variety(sv22_cyclic):
@@ -194,13 +194,13 @@ def test_character_object(sv22_cyclic, sv22_fock):
     pt = gelfand.sample_variety_points(sv22_cyclic, 1, seed=5, max_norm=0.3)[0]
     chi = gelfand.character(sv22_cyclic, pt, fock=sv22_fock)
     assert chi.is_vector_functional
-    assert chi.on_path(sv22_cyclic.identity("v")) == 1.0
+    assert chi.on_word(()) == 1.0
     e = sv22_cyclic.edges[0]
     op = fock.left_op(sv22_fock, e.id)
     coords = chi.generator_values()
     assert abs(chi.on_operator(op) - coords[e.id]) < 1e-6
     # rho(identity operator) is exactly 1 for the normalized vector
-    assert abs(chi.on_operator(fock.identity_op(sv22_fock)) - 1.0) < 1e-12
+    assert abs(chi.on_operator(identity_op(sv22_fock)) - 1.0) < 1e-12
 
 
 def test_character_boundary_is_formal(sv22_cyclic, sv22_fock):
@@ -211,7 +211,7 @@ def test_character_boundary_is_formal(sv22_cyclic, sv22_fock):
     word = ("e1_1", "e2_1")
     assert chi.on_word(word) == pytest.approx(t * 0.1)
     with pytest.raises(DomainError, match="words only"):
-        chi.on_operator(fock.identity_op(sv22_fock))
+        chi.on_operator(identity_op(sv22_fock))
 
 
 def test_character_rejects_off_variety(sv22_cyclic, sv22_fock):

