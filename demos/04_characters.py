@@ -31,9 +31,10 @@ for pt in points:
           "variety residual:", gelfand.variety_residual(sv, pt))
 
 # ---------------------------------------------------------------------------
-# Eigen relation for the adjoint generators, checked two ways: dense sparse
-# algebra at a small truncation, and the degree-class route at N=20 (where
-# the basis would have ~4e7 paths).
+# Eigen relation for the adjoint generators, checked two ways: on the Fock
+# space of the graph at a small truncation, and at N=20 (where that basis
+# would have ~4e7 paths) on the Fock space of the degree lattice N^2, one
+# path per degree, which the constant per-colour coordinates allow.
 space = fock.TruncatedFock(sv, 8)
 pt = points[0]
 for e in sv.edges[:2]:

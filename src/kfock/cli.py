@@ -97,6 +97,10 @@ def _cmd_analyze(args):
 def _cmd_fock(args):
     g, desc = _validated(args)
     space = fock.TruncatedFock(g, args.trunc)
+    # the checks build the edge tables, so a refused table writes no manifest
+    comm = fock.commutant_residual(space)
+    isom = fock.partial_isometry_residual(space)
+    conflicts = fock.same_degree_range_conflicts(space)
     os.makedirs(args.out, exist_ok=True)
     manifest = os.path.join(args.out, "basis.tsv")
     fock.write_basis_manifest(space, manifest)
@@ -112,9 +116,6 @@ def _cmd_fock(args):
         written.append({"word": list(word), "file": fname,
                         "nnz": op.nnz, "symbolGrading": len(word)})
 
-    comm = fock.commutant_residual(space)
-    isom = fock.partial_isometry_residual(space)
-    conflicts = fock.same_degree_range_conflicts(space)
     ok = comm == 0 and isom == 0 and not conflicts
     _emit(reports.envelope("fock", desc, {
         "trunc": args.trunc,

@@ -15,8 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .builders import identity_table, single_vertex
 from .errors import DomainError, UnsupportedGraphError
-from .kgraph import KGraph, degree_vectors
+from .fock import TruncatedFock
+from .kgraph import KGraph
 
 __all__ = [
     "VarietyBinomial",
@@ -242,31 +244,20 @@ def omega_norm_check(fock, alpha) -> dict:
 # -- eigen relation ------------------------------------------------------------
 
 
-def _constant_coordinates(point):
-    """Per-color constant value when every coordinate is the same float."""
-    out = []
-    for part in point:
-        if len(part) == 0:
-            out.append(complex(0.0))
-        elif np.all(part == part[0]):
-            out.append(complex(part[0]))
-        else:
-            return None
-    return out
-
-
 def eigen_residual(g: KGraph, edge_id: str, alpha, trunc: int, fock=None) -> float:
     """max over delta(lambda) <= trunc-1 of |(L_e* omega)_lambda - alpha_e omega_lambda|.
 
-    With a Fock space this reads the edge's row of ``left`` over the interior,
+    The relation is read off the edge's row of ``left`` over the interior,
     the basis prefix of grading <= N - 1, on which every entry is defined at
     one vertex.  The product alpha_e omega is taken on a copy of that prefix:
     numpy's complex multiply can round a view differently from a fresh array
-    of the same values (it changed reported residuals).  Without a space,
-    constant per-color coordinates make all components of one degree class
-    equal, so the maximum over the classes is the same quantity (up to
-    last-ulp rounding of the scalar vs vectorized multiplies); that route
-    handles truncations whose basis would be too large to hold.
+    of the same values (it changed reported residuals).
+
+    Without a space the coordinates must be constant on each colour, c_1..c_k
+    (0 for a colour without loops).  Then a path of degree m has the component
+    prod c_i^{m_i}, so the relation is the same on the Fock space of the
+    degree lattice N^k (one loop per colour, one path per degree) at the
+    point (c_i), which stays small where the basis over ``g`` would not.
     """
     if fock is not None and fock.graph is not g:
         raise DomainError("fock space was built over a different graph")
@@ -276,38 +267,25 @@ def eigen_residual(g: KGraph, edge_id: str, alpha, trunc: int, fock=None) -> flo
     if res > VARIETY_TOL:
         raise DomainError(f"point is off the variety (residual {res:.3e})")
     e = g.edge(edge_id)
+    coord = _coord_map(g, point)[edge_id]
 
     if fock is not None:
         if fock.trunc != trunc:
             raise DomainError("fock truncation disagrees with `trunc`")
-        vec = omega_vector(fock, point)
-        coord = _coord_map(g, point)[edge_id]
-        n = len(fock.interior_indices(1))
-        # (L_e* omega)_i = omega at the index of e xi_i
-        adj = vec[fock.left[fock.edge_codes[edge_id], :n]]
-        return float(np.abs(adj - coord * vec[:n].copy()).max(initial=0.0))
-
-    consts = _constant_coordinates(point)
-    if consts is None:
-        raise UnsupportedGraphError(
-            "non-constant coordinates need an explicit fock space"
-        )
-    val = {(0,) * g.k: complex(1.0)}
-    for t in range(1, trunc + 1):
-        for m in degree_vectors(g.k, t):
-            c = next(i for i, x in enumerate(m) if x > 0)
-            sub = list(m)
-            sub[c] -= 1
-            val[m] = consts[c] * val[tuple(sub)]
-    coord = consts[e.color - 1]
-    worst = 0.0
-    for m, v in val.items():
-        if sum(m) > trunc - 1:
-            continue
-        up = list(m)
-        up[e.color - 1] += 1
-        worst = max(worst, abs(val[tuple(up)] - coord * v))
-    return worst
+    else:
+        if any(np.any(part != part[:1]) for part in point):
+            raise UnsupportedGraphError(
+                "non-constant coordinates need an explicit fock space"
+            )
+        ones = (1,) * g.k
+        fock = TruncatedFock(single_vertex(ones, identity_table(ones)), trunc)
+        point = tuple(part[:1] if len(part) else np.zeros(1, dtype=complex) for part in point)
+        edge_id = f"e{e.color}_1"
+    vec = omega_vector(fock, point)
+    n = len(fock.interior_indices(1))
+    # (L_e* omega)_i = omega at the index of e xi_i
+    adj = vec[fock.left[fock.edge_codes[edge_id], :n]]
+    return float(np.abs(adj - coord * vec[:n].copy()).max(initial=0.0))
 
 
 # -- characters ----------------------------------------------------------------

@@ -95,7 +95,7 @@ def _first_return_walks(g: KGraph, v: str, color: int):
     into = {u: [e for e in g.in_edges(u) if e.color == color] for u in g.vertices}
     ahead = [{v}]
     while len(ahead) < len(edges) and ahead[-1]:
-        ahead.append({e.dst for e in edges if e.src in ahead[-1] and e.dst != v})
+        ahead.append({e.dst for u in ahead[-1] for e in g.out_edges(u, color) if e.dst != v})
     for length in range(1, len(ahead) + 1):
         stack = [((), v)]  # word so far, the vertex where it starts
         while stack:

@@ -9,11 +9,12 @@ instead of built, creation operators compose paths one basis vector at a
 time over the ``KGraph`` enumeration instead of reading the basis arrays and
 the edge-action tables, the exact checks multiply sparse matrices instead of
 composing column -> row maps, Cesaro sums add one sparse matrix per term, the
-single-vertex character checks have closed forms in the norm series,
-validity is searched grading by grading (factorization counts and every
-rewrite order of every raw word) instead of by critical words, direct
-products name every edge copy slot by slot, and the square stage checks its
-two sides one after the other.  Tests compare library output against these.
+single-vertex character checks have closed forms in the norm series, the
+eigen relation without a space recurses over degree classes, validity is
+searched grading by grading (factorization counts and every rewrite order of
+every raw word) instead of by critical words, direct products name every edge
+copy slot by slot, and the square stage checks its two sides one after the
+other.  Tests compare library output against these.
 The helpers before the oracles build operators, permutations and graphs that
 only tests need, from the library's public API.
 """
@@ -27,7 +28,13 @@ import pytest
 import scipy.sparse as sp
 
 from kfock import builders, fock, gelfand, structure
-from kfock.errors import BudgetError, CompositionError, DomainError, MalformedGraphError
+from kfock.errors import (
+    BudgetError,
+    CompositionError,
+    DomainError,
+    MalformedGraphError,
+    UnsupportedGraphError,
+)
 from kfock.fock import SparseOperator
 from kfock.kgraph import (
     CommutationSquare,
@@ -828,6 +835,42 @@ def oracle_closed_form_character(g, alpha, trunc, grading_budget=3):
     phi = max((abs(coord[p.word[0]]) * (1.0 - P(trunc - 1) / P(trunc))
                for p in words if p.delta == 1), default=0.0)
     return {"normSq": P(trunc), "bias": bias, "phiRecoveryError": phi}
+
+
+def oracle_degree_class_eigen_residual(g, edge_id, alpha, trunc):
+    """``gelfand.eigen_residual`` without a space, by a recursion over degree
+    classes instead of a Fock space: constant per-colour coordinates c give
+    every path of degree m the component prod c_i^{m_i}, so the residual is
+    the largest |omega(m + e_c) - c_c omega(m)| over |m| <= trunc - 1, with c
+    the colour of the edge.  Raises what the library raises before its
+    computation: ``DomainError`` outside the open ball, off the variety or for
+    an unknown edge, ``UnsupportedGraphError`` for coordinates that are not
+    constant on a colour."""
+    point = gelfand.as_point(g, alpha)
+    if any(r >= 1.0 for r in gelfand.ball_norms(g, point)):
+        raise DomainError("the vector series diverges")
+    if gelfand.variety_residual(g, point) > gelfand.VARIETY_TOL:
+        raise DomainError("point is off the variety")
+    e = g.edge(edge_id)
+    if any(len(part) and not np.all(part == part[0]) for part in point):
+        raise UnsupportedGraphError("non-constant coordinates need an explicit fock space")
+    consts = [complex(part[0]) if len(part) else complex(0.0) for part in point]
+    val = {(0,) * g.k: complex(1.0)}
+    for t in range(1, trunc + 1):
+        for m in degree_vectors(g.k, t):
+            c = next(i for i, x in enumerate(m) if x > 0)
+            sub = list(m)
+            sub[c] -= 1
+            val[m] = consts[c] * val[tuple(sub)]
+    coord = consts[e.color - 1]
+    worst = 0.0
+    for m, v in val.items():
+        if sum(m) > trunc - 1:
+            continue
+        up = list(m)
+        up[e.color - 1] += 1
+        worst = max(worst, abs(val[tuple(up)] - coord * v))
+    return worst
 
 
 # -- seeded random k-graphs -----------------------------------------------------

@@ -239,6 +239,7 @@ def test_cli_fock_refuses_oversized_edge_tables(tmp_path, capsys):
     assert cli.main(["fock", "cycle", "2000", "3", "--trunc", "4",
                      "--out", str(tmp_path)]) == 2
     assert json.loads(capsys.readouterr().out)["error"] == "BudgetError"
+    assert not (tmp_path / "basis.tsv").exists()  # refused before the manifest
 
 
 def test_cli_gelfand_samples(tmp_path):

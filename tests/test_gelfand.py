@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import identity_op, oracle_closed_form_character
+from conftest import (
+    identity_op,
+    oracle_closed_form_character,
+    oracle_degree_class_eigen_residual,
+)
 from kfock import builders, fock, gelfand
-from kfock.errors import DomainError, UnsupportedGraphError
+from kfock.errors import DomainError, KFockError, UnsupportedGraphError
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +172,55 @@ def test_eigen_grouped_needs_constant_coordinates(sv22_cyclic):
     ident = builders.single_vertex((2, 2), theta=builders.identity_table((2, 2)))
     with pytest.raises(UnsupportedGraphError):
         gelfand.eigen_residual(ident, "e1_1", ((0.3, 0.1), (0.2, 0.1)), 10)
+
+
+# single-vertex shapes with their tables: k = 1, 2 and 3, a colour without
+# loops, identity, cyclic and seeded tables
+EIGEN_SHAPES = [
+    ["1", "id"], ["3", "id"], ["4", "id"],
+    ["1", "0", "id"], ["1", "1", "id"], ["2", "2", "cyclic"], ["2", "3", "cyclic"],
+    ["3", "3", "cyclic"], ["2", "2", "seed:1"], ["3", "2", "seed:5"],
+    ["1", "2", "1", "cyclic"], ["2", "1", "1", "seed:5"],
+]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except KFockError as exc:  # compared by class against the other route
+        return type(exc)
+
+
+def test_eigen_without_a_space_matches_the_degree_class_oracle():
+    # sampled points (constant on constrained colours, free elsewhere), one
+    # outside the ball, every edge and an unknown one: each call raises what
+    # the oracle raises, or agrees with it up to the last bits that numpy's
+    # complex multiply rounds differently from Python's
+    calls = 0
+    for tokens in EIGEN_SHAPES:
+        g = builders.builtin_graph(["single-vertex", *tokens])
+        points = [pt for seed in (1, 5, 77) for max_norm in (0.3, 0.5, 0.9)
+                  for pt in gelfand.sample_variety_points(g, 1, seed=seed, max_norm=max_norm)]
+        points.append(tuple(np.ones(len(part)) for part in points[0]))
+        for pt in points:
+            for edge_id in [e.id for e in g.edges] + ["nope"]:
+                for trunc in (0, 3, 8, 20):
+                    want = _outcome(oracle_degree_class_eigen_residual, g, edge_id, pt, trunc)
+                    got = _outcome(gelfand.eigen_residual, g, edge_id, pt, trunc)
+                    if isinstance(want, type) or isinstance(got, type):
+                        assert got is want, (tokens, edge_id, trunc)
+                    else:
+                        assert abs(got - want) <= 1e-16, (tokens, edge_id, trunc)
+                    calls += 1
+    assert calls >= 2000
+
+
+def test_eigen_refuses_a_negative_truncation(sv22_cyclic, sv22_fock):
+    pt = gelfand.sample_variety_points(sv22_cyclic, 1, seed=5, max_norm=0.5)[0]
+    with pytest.raises(DomainError, match="truncation grading must be >= 0"):
+        gelfand.eigen_residual(sv22_cyclic, "e1_1", pt, -1)
+    with pytest.raises(DomainError, match="truncation"):
+        gelfand.eigen_residual(sv22_cyclic, "e1_1", pt, -1, fock=sv22_fock)
 
 
 def test_character_multiplicative_on_variety(sv22_cyclic):

@@ -20,6 +20,7 @@ NAMED = [
     ["single-vertex", "1", "1", "id"], ["single-vertex", "2", "2", "cyclic"],
     ["single-vertex", "2", "2", "1", "seed:1"], ["product", "f2", "c2"],
     ["product", "c2", "f2"], ["product", "f2", "c2", "f1"], ["product", "f3", "f2", "c2"],
+    ["cycle", "30", "3"], ["cycle", "60", "2"], ["product", "c6", "c5"],
 ]
 
 
