@@ -46,10 +46,13 @@ def nonnegative_float(text):
 
 def complex_coordinates(text):
     try:
-        return [complex(tok) for tok in text.replace(",", " ").split()]
+        coords = [complex(tok) for tok in text.replace(",", " ").split()]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"want complex numbers separated by commas or spaces, got {text!r}") from None
+    if not all(abs(z) < float("inf") for z in coords):  # NaN too
+        raise argparse.ArgumentTypeError(f"coordinates must be finite, got {text!r}")
+    return coords
 
 
 def _resolve_graph(tokens):

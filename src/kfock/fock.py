@@ -4,14 +4,15 @@ The basis is every canonical (colour-sorted) path of grading at most N, held
 as integer arrays over basis indices: ``parent(i)`` (the basis path with the
 leftmost letter stripped), ``lead(i)`` (that letter, which has the smallest
 colour of the word), the source and range vertex codes and the grading.  They
-are built grade by grade with the recursion of ``KGraph._paths``, so each
-degree is one contiguous run of indices; the size of a grade is known before
-it is allocated.  Grade t tries only the degrees that extend a nonempty block
-of grade t - 1 at its smallest colour, and the build stops at the first grade
-with none, so its work is bounded by the basis, not by the number of degree
-vectors up to N.  ``basis[i]`` rebuilds a ``Path`` from the parent chain on
-demand.  The space holds one representation that every operator is read
-from: integer edge-action tables
+are built grade by grade with the recursion of ``KGraph._paths``: a path
+extends by its range vertex's out-edges of colour <= its smallest colour, a
+prefix of them in (colour, id) order.  A grade's size, a sum of prefixes, is
+checked before it is allocated; one sort of its (path group, edge) pairs puts
+it in degree order, with each degree that holds a path a contiguous run.  The
+build stops at the first empty grade, so its work is bounded by the basis,
+not by N.  ``basis[i]`` rebuilds a ``Path`` from the parent chain on demand.
+The space holds one representation that every operator is read from: integer
+edge-action tables
 
     left[e, i]  = index of e xi_i      right[e, i] = index of xi_i e
 
@@ -78,9 +79,11 @@ MAX_DIMENSION = 1_000_000  # largest basis TruncatedFock builds
 MAX_TABLE_ENTRIES = 2 ** 25  # largest edge-action table, |E| x (dimension + 1): 256 MiB of int64
 
 
-def _first_colour(n, default=None):
-    """Index of the smallest colour of a degree vector (``default`` for 0)."""
-    return next((c for c, x in enumerate(n) if x), default)
+def _expand(lo, hi):
+    """The ranges [lo[j], hi[j]) end to end, as (j, index) pairs."""
+    counts = hi - lo
+    j = np.repeat(np.arange(len(counts)), counts)
+    return j, np.arange(len(j)) + np.repeat(lo - np.cumsum(counts) + counts, counts)
 
 
 class _Basis(Sequence):
@@ -115,13 +118,13 @@ class TruncatedFock:
 
     The basis is sorted by grading, then degree (lexicographic), then word,
     so matrices are reproducible across runs.  It is held as integer arrays
-    over basis indices: ``parent_links()``, ``ends`` and ``deltas``, and each
-    degree's contiguous run of indices in ``blocks``.  ``basis`` rebuilds a
-    ``Path`` on each access.  Construction assumes the graph has been
-    validated; a basis of more than ``MAX_DIMENSION`` paths raises
-    ``BudgetError`` before the grade that passes the cap is allocated.
-    ``left`` and ``right`` are the edge-action tables of the module
-    docstring; their rows follow ``edge_codes``.
+    over basis indices: ``parent_links()``, ``ends`` and ``deltas``, and in
+    ``blocks`` the (start, stop) run of each degree that holds a path, in
+    basis order.  ``basis`` rebuilds a ``Path`` on each access.  Construction
+    assumes the graph has been validated; a basis of more than
+    ``MAX_DIMENSION`` paths raises ``BudgetError`` before the grade that
+    passes the cap is allocated.  ``left`` and ``right`` are the edge-action
+    tables of the module docstring; their rows follow ``edge_codes``.
     """
 
     def __init__(self, graph: KGraph, trunc: int):
@@ -129,47 +132,48 @@ class TruncatedFock:
             raise DomainError("truncation grading must be >= 0")
         self.graph = graph
         self.trunc = int(trunc)
+        k, nv = graph.k, len(graph.vertices)
         color, esrc, edst = self._edge_arrays
-        of_color = [np.flatnonzero(color == c) for c in range(1, graph.k + 1)]
-        nv = len(graph.vertices)
-        src = dst = np.arange(nv)  # of the previous grade
+        # the edge codes by (source, colour, id): the out-edges of vertex v of
+        # colour <= c are out[bound[v k]:bound[v k + c]], for c = 0..k
+        out, bound = self._runs = (np.lexsort((color, esrc)), np.append(
+            0, np.bincount(esrc * k + color - 1, minlength=nv * k).cumsum()))
+        src = dst = np.arange(nv)  # of the last grade, whose paths' degrees have
+        rank = np.zeros(nv, dtype=np.int64)  # these ranks, vectors and smallest colours
+        degree, least = np.zeros((1, k), dtype=np.int64), np.array([k])  # (k for 0)
         grades = [(np.full(nv, -1), np.full(nv, -1), src, dst)]  # parent, lead, src, dst
-        self.blocks = {(0,) * graph.k: (0, nv)}  # degree -> (start, stop)
+        self.blocks = {(0,) * k: (0, nv)}  # degree -> (start, stop)
         self._grades = [(0, nv)]  # (start, stop) of each grade built
-        grown = [(0,) * graph.k]  # the degrees of the last grade that hold a path
-        for t in range(1, self.trunc + 1):
-            # the recursion of KGraph._paths: the colour-c edges in id order,
-            # each followed by the degree-(n - e_c) paths that end at its source,
-            # c the smallest colour of n; so n extends a grown degree m at a
-            # colour <= the smallest of m, and ascending order is degree order
-            degrees = sorted(m[:c] + (m[c] + 1,) + m[c + 1:] for m in grown
-                             for c in range(_first_colour(m, graph.k - 1) + 1))
-            if not degrees:
-                break
+        for _ in range(self.trunc):
             start, total = self._grades[-1]
-            plan = []
-            for n in degrees:
-                c = _first_colour(n)
-                lo, hi = self.blocks[n[:c] + (n[c] - 1,) + n[c + 1:]]
-                sub = dst[lo - start:hi - start]
-                count = np.bincount(sub, minlength=nv)
-                plan.append((n, lo, sub, count, of_color[c], count[esrc[of_color[c]]]))
-            if total + sum(int(per_edge.sum()) for *_, per_edge in plan) > MAX_DIMENSION:
+            # group the last grade by (degree, range vertex); a group extends by the
+            # edges of colour <= its degree's smallest colour out of its vertex
+            by = np.argsort(rank * nv + dst, kind="stable")
+            cut = np.flatnonzero(np.diff(rank[by] * nv + dst[by], prepend=-1))
+            r, v = rank[by[cut]], dst[by[cut]]
+            g, at = _expand(bound[v * k], bound[v * k + least[r]])
+            e = out[at]
+            # ascending degrees put larger smallest colours first, then follow
+            # the shorter path's degree; within a degree, edge then parent
+            key = (k - color[e]) * len(degree) + r[g]
+            order = np.lexsort((e, key))
+            g, e, key = g[order], e[order], key[order]
+            count = np.diff(cut, append=len(by))[g]
+            size = int(count.sum())
+            if not size:
+                break
+            if total + size > MAX_DIMENSION:
                 raise BudgetError(f"a basis of truncation {trunc} has over {MAX_DIMENSION} paths")
-            parents, leads = [], []
-            for n, lo, sub, count, es, per_edge in plan:
-                by_range = np.argsort(sub, kind="stable")
-                first = np.cumsum(count) - count  # each range vertex's run in by_range
-                at = np.repeat(first[esrc[es]] - (np.cumsum(per_edge) - per_edge), per_edge)
-                parents.append(lo + by_range[at + np.arange(len(at))])
-                leads.append(np.repeat(es, per_edge))
-                self.blocks[n] = (total, total + len(at))
-                total += len(at)
-            p, e = np.concatenate(parents), np.concatenate(leads)
-            src, dst = src[p - start], edst[e]
-            grades.append((p, e, src, dst))
-            self._grades.append((self._grades[-1][1], total))
-            grown = [n for n in degrees if self.blocks[n][1] > self.blocks[n][0]]
+            head = np.flatnonzero(np.diff(key, prepend=-1))
+            least = color[e[head]]
+            degree = degree[r[g[head]]] + np.eye(k, dtype=np.int64)[least - 1]
+            first = (total + np.cumsum(count) - count)[head].tolist() + [total + size]
+            self.blocks.update(zip(map(tuple, degree.tolist()), zip(first, first[1:])))
+            j, at = _expand(cut[g], cut[g] + count)
+            p, e = by[at], e[j]
+            rank, src, dst = np.repeat(np.arange(len(head)), np.diff(first)), src[p], edst[e]
+            grades.append((start + p, e, src, dst))
+            self._grades.append((total, total + size))
         parent, lead, src, dst = (np.concatenate(a) for a in zip(*grades))
         self._links = (parent, lead)
         self.ends = (src, dst)
@@ -196,9 +200,7 @@ class TruncatedFock:
         return i
 
     def grade_indices(self, t: int) -> np.ndarray:
-        if not 0 <= t < len(self._grades):  # no path past the last grade built
-            return np.array([], dtype=np.int64)
-        return np.arange(*self._grades[t])
+        return np.arange(self._prefix_end(t - 1), self._prefix_end(t))  # empty past the last grade
 
     def interior_indices(self, margin: int) -> np.ndarray:
         """Indices of grading <= N - margin: a prefix, as the basis is sorted by grading."""
@@ -331,17 +333,12 @@ class SparseOperator:
         return SparseOperator(self.space, self.matrix.conj().T.tocsr())
 
     def max_abs(self):
-        if self.matrix.nnz == 0:
-            return 0
-        return np.abs(self.matrix.data).max()
+        return np.abs(self.matrix.data).max(initial=0)
 
     def max_abs_interior(self, margin: int):
         """Largest entry of the compression to the block {delta <= N - margin}."""
         idx = self.space.interior_indices(margin)
-        m = self.matrix[idx][:, idx]
-        if m.nnz == 0:
-            return 0
-        return np.abs(m.data).max()
+        return np.abs(self.matrix[idx][:, idx].data).max(initial=0)
 
     def __repr__(self):
         return f"SparseOperator(dim={self.space.dimension}, nnz={self.nnz})"
@@ -353,7 +350,7 @@ def _left_table(fock: TruncatedFock) -> np.ndarray:
     g = fock.graph
     edges = g.edges
     code = fock.edge_codes
-    color, esrc, edst = fock._edge_arrays
+    color = fock._edge_arrays[0]
     parent, lead = fock.parent_links()
     if len(edges) * (fock.dimension + 1) > MAX_TABLE_ENTRIES:  # right has the same size
         raise BudgetError(f"an edge-action table of {len(edges)} x {fock.dimension + 1} "
@@ -366,28 +363,31 @@ def _left_table(fock: TruncatedFock) -> np.ndarray:
     keys, first = np.unique(sq[:, 0] * len(edges) + sq[:, 1], return_index=True)  # the first wins
     keys = np.append(keys, len(edges) ** 2)  # a key past every pair's, for pairs with no square
     sides = np.append(sq[first, 2:], [[-1, -1]], axis=0)
-
+    # the pairs (e, i) to swap, colour(e) > colour(lead(i)) and s(e) = r(xi_i): the
+    # out-edges of r(xi_i) of colour > colour(lead(i)), the end of its run in `out`
+    out, bound = fock._runs
+    v = fock.ends[1][nz] * g.k
+    j, at = _expand(bound[v + color[lead[nz]]], bound[v + g.k])
+    es, cols, f = out[at], nz[j], lead[nz][j]
+    pair = es * len(edges) + f
+    at = np.searchsorted(keys, pair)
+    a, b = sides[np.where(keys[at] == pair, at, -1)].T
+    # an error names its first witness in (edge, column) order, as np.nonzero of a mask
+    if (a < 0).any():  # every composable pair meets a grade-1 column: no fault comes before
+        w = min(np.flatnonzero(a < 0), key=lambda i: (es[i], cols[i]))
+        raise MalformedGraphError(f"no square for adjacent pair ({edges[es[w]].id}, {edges[f[w]].id})")
+    bounds = np.searchsorted(cols, [stop for _, stop in fock._grades])
     for t in range(1, len(fock._grades)):
-        idx = fock.grade_indices(t)
-        f = lead[idx]
-        swap = (color[:, None] > color[f]) & (esrc[:, None] == edst[f])
-        es, js = np.nonzero(swap)
-        pair = es * len(edges) + f[js]
-        at = np.searchsorted(keys, pair)
-        a, b = sides[np.where(keys[at] == pair, at, -1)].T
-        if (a < 0).any():
-            w = int(np.argmax(a < 0))
-            raise MalformedGraphError(
-                f"no square for adjacent pair ({edges[es[w]].id}, {edges[f[js[w]]].id})")
-        mid = left[b, parent[idx[js]]]
-        got = left[a, mid]
+        s = slice(bounds[t - 1], bounds[t])
+        mid = left[b[s], parent[cols[s]]]
+        got = left[a[s], mid]
         broken = (mid < 0) | ((got < 0) & (t < fock.trunc))
         if broken.any():
-            w = int(np.argmax(broken))
+            w = min(s.start + np.flatnonzero(broken), key=lambda i: (es[i], cols[i]))
             raise MalformedGraphError(
                 f"square ({edges[a[w]].id}, {edges[b[w]].id}) = "
-                f"({edges[es[w]].id}, {edges[f[js[w]]].id}) has broken endpoints")
-        left[es, idx[js]] = got
+                f"({edges[es[w]].id}, {edges[f[w]].id}) has broken endpoints")
+        left[es[s], cols[s]] = got
     return left
 
 
@@ -397,11 +397,8 @@ def _right_table(fock: TruncatedFock) -> np.ndarray:
     left = fock.left
     _, esrc, edst = fock._edge_arrays
     right = np.full_like(left, -1)
-    # xi_v e is the edge path e = e xi_{s(e)} when e ends at v
-    ident = fock.grade_indices(0)  # one identity per vertex, in order
-    edge_path = left[np.arange(len(left)), ident[esrc]]
-    right[:, ident] = np.where(edst[:, None] == np.arange(len(ident)),
-                               edge_path[:, None], -1)
+    # xi_v e is the edge path e = e xi_{s(e)} when e ends at v; identity v has index v
+    right[np.arange(len(left)), edst] = left[np.arange(len(left)), esrc]
     for t in range(1, len(fock._grades)):
         idx = fock.grade_indices(t)
         right[:, idx] = left[lead[idx], right[:, parent[idx]]]
@@ -686,11 +683,10 @@ def write_basis_manifest(fock: TruncatedFock, path) -> None:
     g = fock.graph
     parent, lead = fock.parent_links()
     eid = [e.id for e in g.edges]
-    words = list(g.vertices)  # the identities come first, in vertex order
-    for t in range(1, len(fock._grades)):  # a word is its leading edge, then its parent's
-        idx = fock.grade_indices(t)
-        words += [eid[e] if t == 1 else f"{eid[e]} {words[p]}"
-                  for e, p in zip(lead[idx].tolist(), parent[idx].tolist())]
+    nv = len(g.vertices)  # the identities come first; then a word is its leading edge,
+    words = list(g.vertices)  # followed by its parent's word unless that is an identity
+    for e, p in zip(lead[nv:].tolist(), parent[nv:].tolist()):
+        words.append(f"{eid[e]} {words[p]}" if p >= nv else eid[e])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("#index\tword\tdegree\n")
         for n, (start, stop) in fock.blocks.items():

@@ -165,7 +165,7 @@ def evaluate_word(g: KGraph, alpha, word) -> complex:
 
 def _check_interior(g, point):
     norms = [float(np.linalg.norm(p)) for p in point]
-    if any(r >= 1.0 for r in norms):
+    if not all(r < 1.0 for r in norms):  # NaN too
         raise DomainError(
             f"per-color norms {norms} must be < 1: the vector series diverges"
         )

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import oracle_left_op
+from conftest import oracle_basis_size, oracle_left_op
 from kfock import builders, fock, gelfand
 from kfock.errors import DomainError
 from kfock.kgraph import validate
@@ -19,6 +19,8 @@ def _array_graphs():
         graphs.append((f"single-vertex {shape} seed:{seed}",
                        builders.single_vertex(shape, builders.random_table(shape, seed))))
     graphs.append(("chain 4", builders.chain(4)))  # no path longer than 3
+    for name in ("single-vertex 1 1 1 id", "single-vertex 1 1 1 1 id"):  # one path per degree
+        graphs.append((name, builders.builtin_graph(name.split())))
     return graphs
 
 
@@ -45,10 +47,21 @@ def test_arrays_agree_with_enumeration(name, g):
             assert space.index_of(p) == i
         for n, (start, stop) in space.blocks.items():
             assert [p for p in paths if p.degree == n] == list(space.basis[start:stop])
+        assert all(start < stop for start, stop in space.blocks.values())  # only degrees with paths
         assert space.basis[-1] == paths[-1]
     if name == "chain 4":
         assert len(space.grade_indices(4)) == 0
-        assert space.blocks[(2, 2)] == (space.dimension, space.dimension)
+        assert (2, 2) not in space.blocks
+
+
+@pytest.mark.parametrize("name,trunc,dim", [("single-vertex 1 1 1 id", 20, 1771),
+                                            ("single-vertex 1 1 1 1 id", 12, 1820)])
+def test_degree_lattice_has_one_path_per_degree(name, trunc, dim):
+    g = builders.builtin_graph(name.split())
+    space = fock.TruncatedFock(g, trunc)
+    assert space.dimension == oracle_basis_size(g, trunc) == dim
+    assert len(space.blocks) == dim
+    assert all(stop == start + 1 for start, stop in space.blocks.values())
 
 
 def test_basis_build_stops_where_the_paths_stop():

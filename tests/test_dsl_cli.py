@@ -354,3 +354,14 @@ def test_cli_gelfand_refuses_a_float_option_that_skips_every_check(capsys, optio
     assert out == ""
     assert f"argument {option}: must be finite and >= 0" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "nanj 0.1 0.1 0.1"])
+def test_cli_gelfand_refuses_a_coordinate_that_is_not_finite(capsys, value):
+    # a NaN coordinate used to print a NaN residual, no failed check and "ok": true
+    assert cli.main(["gelfand", "single-vertex", "2", "2", "cyclic", "--trunc", "2",
+                     "--alpha", value]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --alpha: coordinates must be finite" in err
+    assert "Traceback" not in err

@@ -9,8 +9,8 @@ import scipy.sparse as sp
 from conftest import (diagonal_part, grading_projection, identity_op, oracle_basis_size,
                       transpose_pairing)
 from kfock import builders, fock
-from kfock.errors import BudgetError, DomainError, UnsupportedGraphError
-from kfock.kgraph import validate
+from kfock.errors import BudgetError, DomainError, MalformedGraphError, UnsupportedGraphError
+from kfock.kgraph import CommutationSquare, Edge, KGraph, validate
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +63,15 @@ def test_oversized_edge_tables_are_refused_before_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 24
+
+
+def test_missing_squares_are_named_in_edge_then_column_order():
+    # (c, a1) and (b, a2) have no square: column a1 comes first, edge b comes first
+    edges = [Edge(x, c, "v", "v") for x, c in (("a1", 1), ("a2", 1), ("b", 2), ("c", 2))]
+    squares = [CommutationSquare(lhs=(a, x), rhs=(x, a)) for a, x in (("a1", "b"), ("a2", "c"))]
+    space = fock.TruncatedFock(KGraph(2, ["v"], edges, squares), 2)
+    with pytest.raises(MalformedGraphError, match=r"no square for adjacent pair \(b, a2\)"):
+        space.left
 
 
 def test_grading_projections_partition(cyc_fock):

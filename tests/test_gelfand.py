@@ -113,6 +113,18 @@ def test_omega_rejects_boundary(sv11_fock):
         gelfand.omega_vector(sv11_fock, ((1.0,), (0.2,)))
 
 
+def test_every_character_check_rejects_a_nan_point(sv11, sv11_fock):
+    # a NaN norm is not < 1, so no check runs on NaN and reports a residual
+    point = ((complex("nanj"),), (0.2,))
+    for check in (lambda: gelfand.omega_vector(sv11_fock, point),
+                  lambda: gelfand.omega_norm_check(sv11_fock, point),
+                  lambda: gelfand.eigen_residual(sv11, "e1_1", point, 4, fock=sv11_fock),
+                  lambda: gelfand.eigen_residual(sv11, "e1_1", point, 4),
+                  lambda: gelfand.multiplicativity_check(sv11_fock, point)):
+        with pytest.raises(DomainError, match="diverges"):
+            check()
+
+
 def test_truncation_for_tail():
     n = gelfand.truncation_for_tail([0.25, 0.09], 1e-6)
     # frozen from the double-series oracle: the tail of 1/((1-.25)(1-.09))
