@@ -29,7 +29,7 @@ table has at most ``MAX_TABLE_ENTRIES`` entries:
 The factorization property makes these the normal forms of the composed
 words.  A creation operator of a path is the chain of gathers along its word:
 a 0/1 operator with at most one entry per column that holds its column -> row
-map and builds its CSR matrix only when arithmetic or an export reads it.
+map and builds its CSR matrix only when arithmetic reads it.
 The exact checks take that map (``image``) and compose maps by gathers
 instead of multiplying matrices.  Gradings only grow along a word, so images
 beyond the truncation never come back and identities between words of the
@@ -42,10 +42,11 @@ so range orthogonality is one bincount per colour over the rows of ``left``.
 The isometries of ``orthogonal_isometries`` sum creation operators on
 disjoint columns (each term starts at its own vertex), so they are maps too;
 a Cesaro sum gathers its terms' entries, kept apart by unique factorization.
-scipy is imported only where a CSR matrix or a Matrix Market file is built
-(``SparseOperator.matrix`` and the arithmetic that reads it, ``cesaro``,
-``write_matrix_market``): the exact checks read column -> row maps alone, so a
-process that builds no matrix never pays for loading scipy.
+scipy is imported only where a CSR matrix is built (``SparseOperator.matrix``
+and the arithmetic that reads it, ``cesaro``): the exact checks read column ->
+row maps alone, and ``write_matrix_market`` writes a creation operator's
+(row, column) pairs straight from its map, so a process that builds no matrix
+never pays for loading scipy.
 """
 
 import functools
@@ -142,7 +143,7 @@ class TruncatedFock:
         rank = np.zeros(nv, dtype=np.int64)  # these ranks, vectors and smallest colours
         degree, least = np.zeros((1, k), dtype=np.int64), np.array([k])  # (k for 0)
         grades = [(np.full(nv, -1), np.full(nv, -1), src, dst)]  # parent, lead, src, dst
-        self.blocks = {(0,) * k: (0, nv)}  # degree -> (start, stop)
+        degrees, firsts = [degree], [np.zeros(1, dtype=np.int64)]  # each block's degree and start
         self._grades = [(0, nv)]  # (start, stop) of each grade built
         for _ in range(self.trunc):
             start, total = self._grades[-1]
@@ -167,11 +168,13 @@ class TruncatedFock:
             head = np.flatnonzero(np.diff(key, prepend=-1))
             least = color[e[head]]
             degree = degree[r[g[head]]] + np.eye(k, dtype=np.int64)[least - 1]
-            first = (total + np.cumsum(count) - count)[head].tolist() + [total + size]
-            self.blocks.update(zip(map(tuple, degree.tolist()), zip(first, first[1:])))
+            first = (total + np.cumsum(count) - count)[head]
+            degrees.append(degree)
+            firsts.append(first)
             j, at = _expand(cut[g], cut[g] + count)
             p, e = by[at], e[j]
-            rank, src, dst = np.repeat(np.arange(len(head)), np.diff(first)), src[p], edst[e]
+            rank = np.repeat(np.arange(len(head)), np.diff(first, append=total + size))
+            src, dst = src[p], edst[e]
             grades.append((start + p, e, src, dst))
             self._grades.append((total, total + size))
         parent, lead, src, dst = (np.concatenate(a) for a in zip(*grades))
@@ -179,6 +182,10 @@ class TruncatedFock:
         self.ends = (src, dst)
         self.deltas = np.repeat(np.arange(len(self._grades)),
                                 [stop - start for start, stop in self._grades])
+        # degree -> (start, stop), made once the build can no longer be refused
+        first = np.concatenate(firsts).tolist()
+        self.blocks = dict(zip(map(tuple, np.concatenate(degrees).tolist()),
+                               zip(first, first[1:] + [len(parent)])))
 
     @property
     def basis(self) -> _Basis:
@@ -671,11 +678,32 @@ def verify_cycle_blocks(n: int, k: int, trunc: int) -> dict:
 # -- export --------------------------------------------------------------------
 
 
-def write_matrix_market(op: SparseOperator, path) -> None:
-    """Coordinate-format export; entries are written as complex general."""
-    import scipy.io
+EXPORT_CHUNK = 1 << 16  # entries formatted per write, so no export holds all its text at once
 
-    scipy.io.mmwrite(str(path), op.matrix.astype(np.complex128))
+
+def write_matrix_market(op: SparseOperator, path) -> None:
+    """Coordinate-format export, always complex general, one entry per line
+    in row-major order.  A creation operator's entries are the (row, column)
+    pairs of its map, each written ``1 0``, so it needs no CSR matrix and no
+    scipy; an operator that holds only a matrix writes each value with
+    ``%.17g``, which reads back exactly."""
+    n = op.space.dimension
+    if op._image is not None:
+        cols = np.flatnonzero(op._image[:-1] >= 0)
+        rows, values, entry = op._image[cols], (), b"%d %d 1 0\n"
+    else:
+        coo = op.matrix.tocoo()
+        rows, cols, vals = coo.row, coo.col, coo.data.astype(np.complex128)
+        values, entry = (vals.real, vals.imag), b"%d %d %.17g %.17g\n"
+    order = np.lexsort((cols, rows))
+    # every field of a line in one array; %d prints a float row index exactly (< 2^53)
+    table = np.column_stack([rows[order] + 1, cols[order] + 1, *(v[order] for v in values)])
+    with open(path, "wb") as fh:  # bytes: formatting is faster, and lines end in \n everywhere
+        fh.write(b"%%MatrixMarket matrix coordinate complex general\n%\n")
+        fh.write(b"%d %d %d\n" % (n, n, len(table)))
+        for at in range(0, len(table), EXPORT_CHUNK):
+            part = table[at:at + EXPORT_CHUNK]
+            fh.write(entry * len(part) % tuple(part.ravel().tolist()))
 
 
 def write_basis_manifest(fock: TruncatedFock, path) -> None:
@@ -687,9 +715,9 @@ def write_basis_manifest(fock: TruncatedFock, path) -> None:
     words = list(g.vertices)  # followed by its parent's word unless that is an identity
     for e, p in zip(lead[nv:].tolist(), parent[nv:].tolist()):
         words.append(f"{eid[e]} {words[p]}" if p >= nv else eid[e])
+    lines = ["#index\tword\tdegree\n"]
+    for n, (start, stop) in fock.blocks.items():
+        degree = ",".join(str(x) for x in n)
+        lines.extend(f"{i}\t{words[i]}\t{degree}\n" for i in range(start, stop))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("#index\tword\tdegree\n")
-        for n, (start, stop) in fock.blocks.items():
-            degree = ",".join(str(x) for x in n)
-            for i in range(start, stop):
-                fh.write(f"{i}\t{words[i]}\t{degree}\n")
+        fh.write("".join(lines))

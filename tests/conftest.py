@@ -13,8 +13,9 @@ single-vertex character checks have closed forms in the norm series, the
 eigen relation without a space recurses over degree classes, validity is
 searched grading by grading (factorization counts and every rewrite order of
 every raw word) instead of by critical words, direct products name every edge
-copy slot by slot, and the square stage checks its two sides one after the
-other.  Tests compare library output against these.
+copy slot by slot, the square stage checks its two sides one after the
+other, and Matrix Market files are written by scipy from a CSR matrix.
+Tests compare library output against these.
 The helpers before the oracles build operators, permutations and graphs that
 only tests need, from the library's public API.
 """
@@ -700,6 +701,16 @@ def oracle_cesaro(op, n):
             continue
         acc = acc + ((1.0 - d / n) * complex(a)) * fock.left_op(space, path).matrix
     return SparseOperator(space, acc)
+
+
+def oracle_write_matrix_market(op, path):
+    """``fock.write_matrix_market`` through a CSR matrix and ``scipy.io.mmwrite``.
+    Below dimension 100 mmwrite searches for symmetry, so a diagonal operator
+    comes out ``complex symmetric`` (lower triangle only) and an empty one
+    ``real symmetric``; every other file is ``complex general``."""
+    import scipy.io
+
+    scipy.io.mmwrite(str(path), op.matrix.astype(np.complex128))
 
 
 MAX_PRODUCTS = 200_000  # n-fold ideal-word products oracle_radical_check may form

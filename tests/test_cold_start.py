@@ -1,10 +1,11 @@
-"""scipy loads only where a CSR matrix or a Matrix Market file is built.
+"""scipy loads only where a CSR matrix is built.
 
 Each test runs in a fresh interpreter, so nothing imported by the rest of the
 suite hides a missing local import: ``validate``, ``analyze``, ``gelfand`` and
-``fock`` without ``--op`` never load scipy, nor does ``orthogonal_isometries``,
-and every site that builds a CSR matrix or writes an export works when it is
-the first to need scipy.
+``fock``, with or without ``--op``, never load scipy, nor do
+``orthogonal_isometries`` and the Matrix Market export of a creation
+operator, and every site that builds a CSR matrix works when it is the first
+to need scipy.
 """
 
 import os
@@ -35,6 +36,7 @@ def run_fresh(body, cwd):
 
 
 def test_commands_without_exports_never_load_scipy(tmp_path):
+    """Nor does a ``fock --op`` export after them: it writes from the operator's map."""
     run_fresh("""
         import contextlib, io, os
         import kfock, kfock.cli as cli
@@ -55,7 +57,7 @@ def test_commands_without_exports_never_load_scipy(tmp_path):
 
         assert run("fock", "cycle", "3", "2", "--trunc", "3", "--op", "e1",
                    "--out", "export") == 0
-        assert scipy_loaded()
+        assert not scipy_loaded(), sorted(m for m in sys.modules if m.startswith("scipy"))
         assert os.path.isfile(os.path.join("export", "e1.mtx"))
     """, tmp_path)
 
@@ -72,6 +74,18 @@ def test_orthogonal_isometries_report_without_scipy(tmp_path):
     """, tmp_path)
 
 
+def test_matrix_market_export_never_loads_scipy(tmp_path):
+    run_fresh("""
+        from kfock import builders, fock
+        space = fock.TruncatedFock(builders.builtin_graph(['cycle', '3', '2']), 3)
+        fock.write_matrix_market(fock.left_op(space, 'e1'), 'e1.mtx')
+        with open('e1.mtx') as fh:
+            lines = fh.read().splitlines()
+        assert lines[:3] == ['%%MatrixMarket matrix coordinate complex general', '%', '30 30 6']
+        assert not scipy_loaded()
+    """, tmp_path)
+
+
 # cycle 3 2 at N = 3: 30 basis paths, and L_e1 has 6 entries
 SITES = {
     "cesaro": """
@@ -83,13 +97,6 @@ SITES = {
         assert fock.SparseOperator(space, matrix=np.eye(30, dtype=np.int64)).nnz == 30
     """,
     "SparseOperator.matrix": "assert fock.left_op(space, 'e1').matrix.nnz == 6",
-    "write_matrix_market": """
-        fock.write_matrix_market(fock.left_op(space, 'e1'), 'e1.mtx')
-        with open('e1.mtx') as fh:
-            lines = fh.read().splitlines()
-        assert lines[0] == '%%MatrixMarket matrix coordinate complex general'
-        assert '30 30 6' in lines
-    """,
 }
 
 

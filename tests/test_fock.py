@@ -1,13 +1,14 @@
 """Exact operator checks on truncated Fock spaces."""
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from conftest import (diagonal_part, grading_projection, identity_op, oracle_basis_size,
-                      transpose_pairing)
+                      oracle_write_matrix_market, random_valid_kgraphs, transpose_pairing)
 from kfock import builders, fock
 from kfock.errors import BudgetError, DomainError, MalformedGraphError, UnsupportedGraphError
 from kfock.kgraph import CommutationSquare, Edge, KGraph, validate
@@ -330,6 +331,71 @@ def test_matrix_market_export(tmp_path, cyc_fock):
     assert "coordinate" in header and "complex" in header and "general" in header
     back = __import__("scipy.io", fromlist=["mmread"]).mmread(str(out))
     assert (abs(back - op.matrix)).max() == 0
+
+
+EXPORT_GRAPHS = ["product f2 f3", "single-vertex 2 2 seed:7", "cycle 3 2", "product f2 c2 f1",
+                 "product c2 f2 c3", "single-vertex 2 2 cyclic"]  # the pinned fock graphs
+
+
+def _export_spaces():
+    """Each graph at N = 2 (dimension < 100) and at the first N whose
+    dimension is >= 100, when its basis grows that far by N = 10."""
+    graphs = [(name, builders.builtin_graph(name.split())) for name in EXPORT_GRAPHS]
+    graphs += [(f"random {i}", g) for i, g in enumerate(random_valid_kgraphs(12, 19))]
+    for name, g in graphs:
+        yield name, fock.TruncatedFock(g, 2)
+        for trunc in range(3, 11):
+            space = fock.TruncatedFock(g, trunc)
+            if space.dimension >= 100:
+                yield name, space
+                break
+
+
+def test_matrix_market_export_agrees_with_scipy_writer(tmp_path, monkeypatch):
+    """Where scipy writes complex general the files are equal byte for byte;
+    its symmetric files (a diagonal or empty operator below dimension 100)
+    read back to the same matrix.  Small chunks put chunk boundaries inside
+    most files."""
+    import scipy.io
+
+    monkeypatch.setattr(fock, "EXPORT_CHUNK", 7)
+
+    def write_both(op):
+        ours, theirs = tmp_path / "ours.mtx", tmp_path / "theirs.mtx"
+        fock.write_matrix_market(op, ours)
+        oracle_write_matrix_market(op, theirs)
+        assert ours.read_text().startswith("%%MatrixMarket matrix coordinate complex general\n")
+        return ours, theirs
+
+    seen = Counter()
+    for name, space in _export_spaces():
+        g = space.graph
+        ops = [fock.left_op(space, v) for v in g.vertices] + [fock.left_op(space, e.id) for e in g.edges]
+        ops += [fock.word_op(space, (x.id, y.id)) for x in g.edges for y in g.edges if x.src == y.dst]
+        for op in ops:
+            ours, theirs = write_both(op)
+            if "general" in theirs.read_text().splitlines()[0]:
+                assert ours.read_bytes() == theirs.read_bytes(), (name, space.dimension)
+                seen["general", space.dimension >= 100] += 1
+            else:
+                assert (scipy.io.mmread(ours) != scipy.io.mmread(theirs)).nnz == 0, name
+                seen["symmetric"] += 1
+    assert all(seen[key] for key in [("general", False), ("general", True), "symmetric"]), seen
+
+    space = fock.TruncatedFock(builders.builtin_graph(["single-vertex", "2", "2", "cyclic"]), 2)
+    empty = fock.word_op(space, ("e1_1",) * 3)
+    ours, theirs = write_both(empty)
+    assert empty.nnz == 0 and "real symmetric" in theirs.read_text()
+    assert ours.read_text() == ("%%MatrixMarket matrix coordinate complex general\n"
+                                "%\n17 17 0\n")
+
+    # weights 2/3 and (1/3)(0.1 - 0.7j): read back exactly, from either writer
+    space = fock.TruncatedFock(builders.builtin_graph(["cycle", "3", "2"]), 5)
+    op = fock.cesaro(fock.left_op(space, "e1") + fock.word_op(space, ("f2", "e1")) * (0.1 - 0.7j), 3)
+    assert set(np.round(np.abs(op.matrix.data), 6)) == {0.666667, 0.235702}
+    for path in write_both(op):
+        back = scipy.io.mmread(path)
+        assert back.dtype == np.complex128 and (back != op.matrix).nnz == 0
 
 
 def test_basis_manifest(tmp_path, chain_fock):

@@ -1,14 +1,14 @@
 """Exact-arithmetic CLI outputs pinned byte for byte.
 
 Each command runs in a fresh working directory, ``fock`` with ``--out out``,
-and its exit code, its stdout report and the ``basis.tsv`` it writes must
-hash to the values recorded here.  The commands are the ``validate-sweep``
-and ``fock-exact`` benchmark commands at seed 7 (``seed:8`` is the first
-invalid k = 3 table from seed 8), ``validate`` and ``analyze`` on direct
-products and on the invalid ``single-vertex 2 2 2 cyclic``, and ``fock`` ops
-named by product edge ids, one of which is not an edge (exit 1).  ``gelfand`` reports are left out, because their
-float digits depend on numpy's multiply loop and on the CPU, and so are
-``.mtx`` files, whose header comes from scipy.  A change that alters one of
+and its exit code, its stdout report and the ``basis.tsv`` and ``.mtx`` files
+it writes must hash to the values recorded here.  The commands are the
+``validate-sweep`` and ``fock-exact`` benchmark commands at seed 7
+(``seed:8`` is the first invalid k = 3 table from seed 8), ``validate`` and
+``analyze`` on direct products and on the invalid ``single-vertex 2 2 2
+cyclic``, and ``fock`` ops named by product edge ids, one of which is not an
+edge (exit 1).  ``gelfand`` reports are left out, because their float digits
+depend on numpy's multiply loop and on the CPU.  A change that alters one of
 these outputs on purpose records the new hash with the reason.
 """
 
@@ -70,6 +70,22 @@ PINNED = [
 ]
 
 
+# the .mtx files each fock command writes, as first written by scipy.io.mmwrite
+EXPORTS = {
+    "fock product f2 f3 --trunc 5 --op e1.1(v)": {
+        "e1.1(v).mtx": "a776974cdd5dce3b284b7be180d2c52975b9070396c97f3016924cf0b162633a"},
+    "fock single-vertex 2 2 seed:7 --trunc 6 --op e1_1 --op e2_1 e1_2": {
+        "e1_1.mtx": "4dd2109caf81dc2cbe9e2502d38fa1d8617856768c9b7ba33087b278401cce45",
+        "e2_1_e1_2.mtx": "fd8eaf755007dd99d328c0b648cd2b7d09ac5dcf2477e4ba30e35a4b245d3ed7"},
+    "fock cycle 3 2 --trunc 8 --op e1": {
+        "e1.mtx": "9af4b85a13d9fea28456e980fe541ac95cfd3c5ff552fc56a9a105a77ef69587"},
+    "fock product c2 f2 c3 --trunc 4 --op e1.1(v,x1) --op e1.3(x2,v) e1.1(v,x1)": {
+        "e1.1(v,x1).mtx": "3f25108a8871b67d79891aaf3437fcd2e40417e95325b5e19adf9d2557b5a1b8",
+        "e1.3(x2,v)_e1.1(v,x1).mtx":
+            "cb27dc80c5c16047d46aadf0804f2b13ebd8642dc4c2dc5a3fa19e6c715852ec"},
+}
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -78,9 +94,12 @@ def _sha256(data: bytes) -> str:
                          ids=[" ".join(argv) for argv, *_ in PINNED])
 def test_cli_output_is_pinned(tmp_path, monkeypatch, capsys, argv, code, report, basis):
     monkeypatch.chdir(tmp_path)
+    exports = EXPORTS.get(" ".join(argv), {})
     if argv[0] == "fock":
         argv = [*argv, "--out", "out"]
     assert cli.main(argv) == code
     assert _sha256(capsys.readouterr().out.encode()) == report
     if basis is not None:
         assert _sha256((tmp_path / "out" / "basis.tsv").read_bytes()) == basis
+        written = {p.name: _sha256(p.read_bytes()) for p in (tmp_path / "out").glob("*.mtx")}
+        assert written == exports
