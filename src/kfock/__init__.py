@@ -3,6 +3,8 @@
 The package splits into combinatorics (``kgraph``, ``builders``,
 ``structure``), exact sparse operator checks (``fock``), single-vertex
 character theory (``gelfand``), and plumbing (``dsl``, ``reports``, ``cli``).
+The root holds the combinatorial names only, so importing it loads no numpy;
+the numeric ones stay in their modules, e.g. ``kfock.fock.TruncatedFock``.
 """
 
 from .builders import (
@@ -26,7 +28,6 @@ from .errors import (
     SpecSyntaxError,
     UnsupportedGraphError,
 )
-from .fock import SparseOperator, TruncatedFock, left_op, right_op
 from .kgraph import CommutationSquare, Edge, KGraph, Path, ValidationReport, validate
 
 __version__ = "0.1.0"
@@ -35,7 +36,6 @@ __all__ = [
     "KGraph", "Edge", "CommutationSquare", "Path", "ValidationReport", "validate",
     "Digraph", "from_digraph", "direct_product", "theta_product", "cycle_rank",
     "single_vertex", "bouquet", "chain", "transpose",
-    "TruncatedFock", "SparseOperator", "left_op", "right_op",
     "KFockError", "CompositionError", "MalformedGraphError", "ConstructionError",
     "BudgetError", "DomainError", "UnsupportedGraphError", "SpecSyntaxError",
     "__version__",

@@ -13,7 +13,7 @@ import functools
 import os
 import sys
 
-from . import builders, dsl, fock, gelfand, reports, structure
+from . import builders, dsl, reports, structure
 from .errors import (CompositionError, ConstructionError, DomainError, KFockError,
                      SpecSyntaxError)
 from .kgraph import validate
@@ -98,6 +98,7 @@ def _cmd_analyze(args):
 
 
 def _cmd_fock(args):
+    from . import fock
     g, desc = _validated(args)
     space = fock.TruncatedFock(g, args.trunc)
     # the checks build the edge tables, so a refused table writes no manifest
@@ -108,13 +109,18 @@ def _cmd_fock(args):
     manifest = os.path.join(args.out, "basis.tsv")
     fock.write_basis_manifest(space, manifest)
 
+    # ids of product edges hold commas: split on them only outside an id
+    words = [tuple(x for tok in op_spec.split()
+                   for x in ([tok] if g.has_edge(tok) else tok.split(",")) if x)
+             for op_spec in args.op or []]
+    names = ["_".join(word) + ".mtx" for word in words]
+    for name in names:  # spec files may put any character in an edge id
+        if os.path.basename(name) != name:
+            raise DomainError(f"export name {name!r} is not a file name in --out")
     written = []
-    for op_spec in args.op or []:
-        # ids of product edges hold commas: split on them only outside an id
-        word = tuple(x for tok in op_spec.split()
-                     for x in ([tok] if g.has_edge(tok) else tok.split(",")) if x)
+    for word, name in zip(words, names):
         op = fock.word_op(space, word)
-        fname = os.path.join(args.out, "_".join(word) + ".mtx")
+        fname = os.path.join(args.out, name)
         fock.write_matrix_market(op, fname)
         written.append({"word": list(word), "file": fname,
                         "nnz": op.nnz, "symbolGrading": len(word)})
@@ -138,6 +144,7 @@ def _cmd_fock(args):
 
 
 def _cmd_gelfand(args):
+    from . import fock, gelfand
     g, desc = _validated(args)
     polys = [str(b) + " = 0" for b in gelfand.variety_polys(g)]
 

@@ -136,7 +136,7 @@ def variety_residual(g: KGraph, alpha) -> float:
 
 
 def in_variety(g: KGraph, alpha, tol: float = VARIETY_TOL) -> bool:
-    return variety_residual(g, alpha) <= tol
+    return bool(variety_residual(g, alpha) <= tol)
 
 
 def ball_norms(g: KGraph, alpha) -> tuple[float, ...]:

@@ -329,12 +329,13 @@ class KGraph:
 
     def all_paths_up_to(self, max_grading: int):
         """All canonical paths with grading at most ``max_grading``, in
-        ``Path.sort_key`` order (reversed ``degree_vectors`` is ascending)."""
-        out = []
-        for t in range(max_grading + 1):
-            for n in reversed(tuple(degree_vectors(self.k, t))):
-                out.extend(self.paths_of_degree(n, max_grading=max_grading))
-        return out
+        ``Path.sort_key`` order (reversed ``degree_vectors`` is ascending).
+        A path of grading t + 1 strips to one of grading t, so the grades
+        stop at the first empty one."""
+        grades = ([p for n in reversed(tuple(degree_vectors(self.k, t)))
+                   for p in self.paths_of_degree(n, max_grading=max_grading)]
+                  for t in range(max_grading + 1))
+        return [p for grade in itertools.takewhile(bool, grades) for p in grade]
 
 
 # -- validation --------------------------------------------------------------

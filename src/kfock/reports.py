@@ -5,8 +5,6 @@ inputs give byte-identical reports."""
 import json
 import sys
 
-import numpy as np
-
 __all__ = ["canonical", "dump_report", "envelope"]
 
 REPORT_VERSION = 1
@@ -19,25 +17,23 @@ def _round_float(x: float):
 
 
 def canonical(obj):
-    """Recursively convert to JSON-ready values with clamped floats."""
+    """Recursively convert to JSON-ready values with clamped floats.  A value
+    that is not a plain Python one (numpy's float64 and complex128 subclass
+    float and complex) is a TypeError, never a changed report."""
     if isinstance(obj, dict):
         return {str(k): canonical(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):
         items = sorted(obj, key=repr) if isinstance(obj, (set, frozenset)) else obj
         return [canonical(v) for v in items]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return [_round_float(float(obj.real)), _round_float(float(obj.imag))]
-    if isinstance(obj, (float, np.floating)):
-        return _round_float(float(obj))
-    if isinstance(obj, np.ndarray):
-        return [canonical(v) for v in obj.tolist()]
-    if obj is None or isinstance(obj, str):
+    if obj is None or isinstance(obj, (bool, str)):
         return obj
-    return repr(obj)
+    if isinstance(obj, int):
+        return int(obj)
+    if isinstance(obj, complex):
+        return [_round_float(float(obj.real)), _round_float(float(obj.imag))]
+    if isinstance(obj, float):
+        return _round_float(float(obj))
+    raise TypeError(f"not a report value: {obj!r}")
 
 
 def envelope(command: str, graph_desc: str, data: dict) -> dict:

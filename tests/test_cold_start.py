@@ -1,11 +1,14 @@
-"""scipy loads only where a CSR matrix is built.
+"""numpy loads only in the numeric commands, scipy only where a CSR matrix
+is built.
 
 Each test runs in a fresh interpreter, so nothing imported by the rest of the
-suite hides a missing local import: ``validate``, ``analyze``, ``gelfand`` and
-``fock``, with or without ``--op``, never load scipy, nor do
-``orthogonal_isometries`` and the Matrix Market export of a creation
-operator, and every site that builds a CSR matrix works when it is the first
-to need scipy.
+suite hides a missing local import.  Importing the package root and its
+combinatorial modules, and running ``validate``, ``analyze`` and ``example``,
+never load numpy; ``fock`` and ``gelfand`` still run after them in the same
+process.  ``validate``, ``analyze``, ``gelfand`` and ``fock``, with or without
+``--op``, never load scipy, nor do ``orthogonal_isometries`` and the Matrix
+Market export of a creation operator, and every site that builds a CSR matrix
+works when it is the first to need scipy.
 """
 
 import os
@@ -23,6 +26,9 @@ import sys
 
 def scipy_loaded():
     return any(name.startswith("scipy") for name in sys.modules)
+
+def numpy_loaded():
+    return any(name.split(".")[0] == "numpy" for name in sys.modules)
 """
 
 
@@ -33,6 +39,36 @@ def run_fresh(body, cwd):
     proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_combinatorial_commands_never_load_numpy(tmp_path):
+    """A ``seed:`` table would: numpy's generator defines its bytes."""
+    run_fresh("""
+        import contextlib, io
+        import kfock, kfock.cli as cli
+        import kfock.kgraph, kfock.builders, kfock.dsl, kfock.structure, kfock.reports
+        assert not numpy_loaded()
+
+        def run(*argv):
+            with contextlib.redirect_stdout(io.StringIO()):
+                return cli.main(list(argv))
+
+        codes = [
+            run("validate", "cycle", "3", "2"),
+            run("analyze", "chain", "3"),
+            run("example", "chain", "3"),
+            run("example", "chain", "3", "--out", "chain3.kg"),
+            run("validate", "chain3.kg"),
+        ]
+        assert codes == [0] * 5, codes
+        assert not numpy_loaded(), sorted(m for m in sys.modules if m.startswith("numpy"))
+
+        assert run("fock", "cycle", "3", "2", "--trunc", "3", "--op", "e1",
+                   "--out", "export") == 0
+        assert run("gelfand", "single-vertex", "2", "2", "cyclic",
+                   "--samples", "1", "--seed", "3", "--trunc", "10") == 0
+        assert numpy_loaded()
+    """, tmp_path)
 
 
 def test_commands_without_exports_never_load_scipy(tmp_path):

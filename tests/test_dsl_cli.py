@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from conftest import oracle_basis_size
@@ -197,6 +198,30 @@ def test_cli_fock_op_splits_on_commas_only_outside_edge_ids(tmp_path):
     assert json.loads(out.read_text())["operators"][0]["word"] == ["f2", "e1"]
 
 
+@pytest.mark.parametrize("edge,ops", [
+    ("../escape", ["../escape"]),
+    ("a/b", ["a/b"]),
+    ("../escape", ["good", "../escape"]),
+], ids=["parent", "subdirectory", "good-then-bad"])
+def test_cli_fock_refuses_an_export_name_outside_out(tmp_path, monkeypatch, capsys, edge, ops):
+    # a spec file may put any non-blank character in an edge id, and ids name the files
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "g.kg").write_text(f"colors 1\nvertex v\nedge good : 1 v -> v\n"
+                               f"edge {edge} : 1 v -> v\n")
+    monkeypatch.chdir(work)
+    argv = ["fock", "g.kg", "--trunc", "2", "--out", "out"]
+    assert cli.main(argv + [x for op in ops for x in ("--op", op)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report == {"error": "DomainError",
+                      "message": f"export name '{edge}.mtx' is not a file name in --out"}
+    written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")
+                     if p.is_file())
+    assert written == ["work/g.kg", "work/out/basis.tsv"]  # no .mtx, not even good.mtx
+    assert cli.main(argv + ["--op", "good"]) == 0
+    assert (work / "out" / "good.mtx").is_file()
+
+
 def test_cli_reused_parser_keeps_calls_apart(tmp_path):
     """One process, two fock calls: each exports only its own --op list."""
     runs = {"a": ["e1", "f2 e1"], "b": ["f1"]}
@@ -319,6 +344,46 @@ def test_float_formatting_is_clamped():
     assert canonical(0.1 + 0.2) == 0.3
     assert canonical({"x": (1 / 3,)}) == {"x": [0.333333333333]}
     assert canonical(complex(1 / 7, -2)) == [0.142857142857, -2.0]
+
+
+def test_canonical_gives_plain_values_and_numpy_subclasses_their_bytes():
+    from kfock.reports import canonical
+
+    values = {"b": True, "i": 3, "f": 0.1 + 0.2, "c": complex(1 / 7, -2), "n": None,
+              "s": "x", "t": (1, 2.5, [False]), "set": {"b", "a"}, "nan": float("nan"),
+              "inf": float("-inf"), "f64": np.float64(1 / 3),
+              "c128": np.complex128(1 / 7 - 2j), 3: "key"}
+    assert json.dumps(canonical(values)) == (
+        '{"b": true, "i": 3, "f": 0.3, "c": [0.142857142857, -2.0], "n": null, "s": "x", '
+        '"t": [1, 2.5, [false]], "set": ["a", "b"], "nan": "nan", "inf": "-inf", '
+        '"f64": 0.333333333333, "c128": [0.142857142857, -2.0], "3": "key"}')
+
+
+@pytest.mark.parametrize("value", [np.bool_(True), np.int64(3), np.arange(3), object()],
+                         ids=["bool_", "int64", "ndarray", "object"])
+def test_canonical_refuses_a_value_that_is_not_a_report_value(value):
+    from kfock.reports import canonical
+
+    with pytest.raises(TypeError, match="not a report value"):
+        canonical({"x": [value]})
+
+
+@pytest.mark.parametrize("options,on_variety,interior", [
+    (["--samples", "1", "--seed", "7", "--trunc", "8"], True, True),
+    (["--alpha", "0.1,0.1,0.1,0.1", "--trunc", "8"], True, True),
+    (["--alpha", "0.1,0.2,0.05,0.3", "--trunc", "8"], False, True),
+    (["--alpha", "0,0,1,0", "--trunc", "6"], True, False),
+    (["--alpha", "1,0,1,0", "--trunc", "6"], False, False),
+], ids=["sampled", "alpha-on-variety", "alpha-off-variety", "boundary-on-variety",
+        "boundary-off-variety"])
+def test_cli_gelfand_reports_every_kind_of_point(capsys, options, on_variety, interior):
+    assert cli.main(["gelfand", "single-vertex", "2", "2", "cyclic", *options]) == 0
+    (sample,) = json.loads(capsys.readouterr().out)["samples"]
+    assert sample["onVariety"] is on_variety
+    assert ("normCheck" in sample) is interior
+    assert ("eigenResiduals" in sample) is (on_variety and interior)
+    if interior:
+        assert sample["multiplicativity"]["onVariety"] is on_variety
 
 
 @pytest.mark.parametrize("argv", [

@@ -301,3 +301,11 @@ def test_structure_report_key_order(chain3):
 ])
 def test_structure_report_double_pure_cycle(tokens, witness):
     assert structure.structure_report(builders.builtin_graph(tokens))["doublePureCycle"] == witness
+
+
+def test_radical_check_enumerates_no_grading_past_the_last_path():
+    # chain 3 has no path of grading 3, so a truncation of 1000 adds nothing
+    g = builders.chain(3)
+    rad = structure.radical_check(g, fock.TruncatedFock(g, 1000))
+    assert (rad["idealWords"], rad["nFoldChecked"], rad["squareZeroChecked"]) == (7, 343, 40)
+    assert len(g._paths_cache) <= 10
