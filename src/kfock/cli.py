@@ -158,8 +158,9 @@ def _cmd_gelfand(args):
         points = gelfand.sample_variety_points(
             g, 3, seed=args.seed, max_norm=args.max_norm)
 
-    norms_sq = max(
-        (max((r * r for r in gelfand.ball_norms(g, pt)), default=0.0) for pt in points),
+    norms_sq = max(  # over the points that get checks, those in the open ball
+        (max((r * r for r in gelfand.ball_norms(g, pt)), default=0.0) for pt in points
+         if gelfand.in_ball(g, pt, open_=True)),
         default=0.0,
     )
     trunc = args.trunc

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .builders import identity_table, single_vertex
-from .errors import DomainError, UnsupportedGraphError
+from .errors import BudgetError, DomainError, UnsupportedGraphError
 from .fock import TruncatedFock
 from .kgraph import KGraph
 
@@ -43,6 +43,7 @@ __all__ = [
 
 VARIETY_TOL = 1e-9  # largest binomial residual of a point on the variety
 MAX_TAIL_GRADING = 400  # truncation_for_tail gives up beyond this grading
+MAX_CHECK_ENTRIES = 2 ** 25  # largest words x dimension of a multiplicativity matrix: 512 MiB
 
 
 def _require_single_vertex(g: KGraph):
@@ -347,7 +348,9 @@ def multiplicativity_check(fock, alpha, grading_budget: int = 3,
     """Vector-functional multiplicativity over all word pairs up to a grading.
 
     Runs for any interior point, on or off the variety, so it doubles as the
-    negative control: off-variety points must show a violation.
+    negative control: off-variety points must show a violation.  Matrices of
+    more than ``MAX_CHECK_ENTRIES`` words x dimension entries are refused with
+    ``BudgetError`` before they are allocated.
 
     The words are the basis prefix of grading <= budget.  At one vertex every
     path composes, so L_p is defined exactly on the prefix of grading <= N - |p|,
@@ -358,12 +361,16 @@ def multiplicativity_check(fock, alpha, grading_budget: int = 3,
     g = fock.graph
     point = as_point(g, alpha)
     _check_interior(g, point)
+    n_words = fock._prefix_end(grading_budget)
+    if n_words * fock.dimension > MAX_CHECK_ENTRIES:
+        raise BudgetError(f"a multiplicativity matrix of {n_words} x {fock.dimension} "
+                          f"entries is over {MAX_CHECK_ENTRIES}")
 
     vec = omega_vector(fock, conjugate_point(point))
     vec = vec / np.linalg.norm(vec)
 
     N = fock.trunc
-    words = fock.basis[:fock._prefix_end(grading_budget)]
+    words = fock.basis[:n_words]
     parent, lead = fock.parent_links()
     conj = np.conj(vec)
     U = np.zeros((len(words), fock.dimension), dtype=complex)

@@ -91,10 +91,9 @@ def _first_return_walks(g: KGraph, v: str, color: int):
     walks of length r that leave ``v`` and avoid it after; a letter is tried
     only when its source is in ``ahead`` of the steps left after it, so
     every branch ends in a walk."""
-    edges = g.edges_of_color(color)
-    into = {u: [e for e in g.in_edges(u) if e.color == color] for u in g.vertices}
+    cap = len(g.edges_of_color(color))
     ahead = [{v}]
-    while len(ahead) < len(edges) and ahead[-1]:
+    while len(ahead) < cap and ahead[-1]:
         ahead.append({e.dst for u in ahead[-1] for e in g.out_edges(u, color) if e.dst != v})
     for length in range(1, len(ahead) + 1):
         stack = [((), v)]  # word so far, the vertex where it starts
@@ -104,7 +103,8 @@ def _first_return_walks(g: KGraph, v: str, color: int):
                 yield word
                 continue
             reach = ahead[length - len(word) - 1]
-            stack.extend((word + (e.id,), e.src) for e in reversed(into[at]) if e.src in reach)
+            stack.extend((word + (e.id,), e.src) for e in reversed(g.in_edges(at))
+                         if e.color == color and e.src in reach)
 
 
 def pure_primitive_cycles(g: KGraph) -> tuple[CycleWitness, ...]:
@@ -122,22 +122,18 @@ def pure_primitive_cycles(g: KGraph) -> tuple[CycleWitness, ...]:
 
 
 def _shortest_access_words(g: KGraph, target: str) -> dict:
-    """For each vertex u, the shortest edge word of a path u -> target,
-    ties broken lexicographically.  Missing vertices are unreachable."""
+    """For each vertex u, the shortest edge word of a path u -> target, ties
+    broken lexicographically; missing vertices are unreachable.  A reverse
+    breadth-first search: words leave the queue in (length, word) order and
+    ``in_edges`` come in id order, so a vertex's first word is its least."""
     best = {target: ()}
-    for _ in range(len(g.vertices)):
-        changed = False
-        for e in g.edges:
-            tail = best.get(e.dst)
-            if tail is None:
-                continue
-            cand = tail + (e.id,)  # e applied first, then the tail of the walk
-            cur = best.get(e.src)
-            if cur is None or (len(cand), cand) < (len(cur), cur):
-                best[e.src] = cand
-                changed = True
-        if not changed:
-            break
+    queue = deque([target])
+    while queue:
+        w = queue.popleft()
+        for e in g.in_edges(w):
+            if e.src not in best:
+                best[e.src] = best[w] + (e.id,)  # e applied first, then the tail of the walk
+                queue.append(e.src)
     return best
 
 

@@ -3,8 +3,9 @@
 The oracles deliberately avoid the library's own shortcuts: class counting
 closes raw words under single square applications in both directions, cycle
 detection enumerates closed walks, primitive cycles are listed by an
-unpruned search and sorted, the relational flag searches leaving paths up to
-grading |vertices| + 2, the basis is counted per range vertex
+unpruned search and sorted, access words come from Bellman-Ford relaxation
+instead of a breadth-first search, the relational flag searches leaving
+paths up to grading |vertices| + 2, the basis is counted per range vertex
 instead of built, creation operators compose paths one basis vector at a
 time over the ``KGraph`` enumeration instead of reading the basis arrays and
 the edge-action tables, the exact checks multiply sparse matrices instead of
@@ -333,6 +334,26 @@ def oracle_pure_primitive_cycles(g: KGraph):
     return tuple(sorted(found, key=lambda c: (c.vertex, c.color, len(c.word), c.word)))
 
 
+def oracle_shortest_access_words(g: KGraph, target: str) -> dict:
+    """``structure._shortest_access_words`` by Bellman-Ford: up to |vertices|
+    relaxation passes over every edge, in (length, word) order."""
+    best = {target: ()}
+    for _ in range(len(g.vertices)):
+        changed = False
+        for e in g.edges:
+            tail = best.get(e.dst)
+            if tail is None:
+                continue
+            cand = tail + (e.id,)  # e applied first, then the tail of the walk
+            cur = best.get(e.src)
+            if cur is None or (len(cand), cand) < (len(cur), cur):
+                best[e.src] = cand
+                changed = True
+        if not changed:
+            break
+    return best
+
+
 def oracle_double_pure_cycle(g: KGraph):
     """``structure.double_pure_cycle_property`` from the whole sorted listing
     of ``oracle_pure_primitive_cycles``, grouped by (vertex, color)."""
@@ -342,7 +363,7 @@ def oracle_double_pure_cycle(g: KGraph):
     for (v, color), wits in sorted(by_site.items()):
         if len(wits) < 2:
             continue
-        access = structure._shortest_access_words(g, v)
+        access = oracle_shortest_access_words(g, v)
         if set(access) == set(g.vertices):
             return structure.DoublePureCycle(vertex=v, color=color,
                                              cycles=(wits[0], wits[1]), access=access)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import oracle_basis_size
-from kfock import builders, cli, dsl, errors, fock
+from kfock import builders, cli, dsl, errors, fock, gelfand
 from kfock.errors import SpecSyntaxError
 from kfock.kgraph import validate
 
@@ -265,6 +265,37 @@ def test_cli_fock_refuses_oversized_edge_tables(tmp_path, capsys):
                      "--out", str(tmp_path)]) == 2
     assert json.loads(capsys.readouterr().out)["error"] == "BudgetError"
     assert not (tmp_path / "basis.tsv").exists()  # refused before the manifest
+
+
+def test_cli_gelfand_refuses_oversized_multiplicativity_matrices(monkeypatch, capsys):
+    # SV(2,2) at N = 12, the largest check in the tests and demos, has
+    # matrices of 49 words x 98,305 paths: well under the bound, but not one less
+    assert 49 * 98_305 < gelfand.MAX_CHECK_ENTRIES // 4
+    monkeypatch.setattr(gelfand, "MAX_CHECK_ENTRIES", 49 * 98_305 - 1)
+    assert cli.main(["gelfand", "single-vertex", "2", "2", "cyclic", "--samples", "1",
+                     "--seed", "7", "--trunc", "12"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "BudgetError"
+
+
+@pytest.mark.parametrize("options,trunc", [
+    (["--alpha", "1,0,0,0"], 6),
+    (["--alpha", "0.9,0.9,0.1,0.1"], 6),
+    (["--samples", "2", "--max-norm", "1.5"], 6),
+    (["--samples", "2", "--seed", "7", "--alpha", "0.9,0.9,0.1,0.1"], 11),
+], ids=["boundary-alpha", "outside-alpha", "outside-samples", "outside-alpha-and-samples"])
+def test_cli_gelfand_reports_points_outside_the_open_ball_unchecked(capsys, options, trunc):
+    # the default truncation used to take its norm over these points too and
+    # refused them (exit 1), though only points in the open ball get checks
+    assert cli.main(["gelfand", "single-vertex", "2", "2", "cyclic", *options]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["trunc"] == trunc and rep["ok"] is True
+    outside = [s for s in rep["samples"] if max(s["ballNorms"]) >= 1]
+    assert outside and not any("normCheck" in s for s in outside)
+    if "--seed" in options:
+        assert cli.main(["gelfand", "single-vertex", "2", "2", "cyclic",
+                         "--samples", "2", "--seed", "7"]) == 0
+        alone = json.loads(capsys.readouterr().out)
+        assert alone["trunc"] == trunc and rep["samples"][1:] == alone["samples"]
 
 
 def test_cli_gelfand_samples(tmp_path):

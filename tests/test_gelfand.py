@@ -1,5 +1,7 @@
 """Variety membership, the eigenvector, and character functionals."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from conftest import (
     oracle_degree_class_eigen_residual,
 )
 from kfock import builders, fock, gelfand
-from kfock.errors import DomainError, KFockError, UnsupportedGraphError
+from kfock.errors import BudgetError, DomainError, KFockError, UnsupportedGraphError
 
 
 @pytest.fixture(scope="module")
@@ -253,6 +255,22 @@ def test_character_negative_control(sv22_cyclic):
                                           grading_budget=3, tol=1e-9)
     assert not rep["onVariety"]
     assert rep["maxResidual"] > 1e-9
+
+
+def test_multiplicativity_matrices_are_refused_before_allocation(monkeypatch, sv22_fock):
+    pt = ((0.1, 0.1), (0.1, 0.1))
+    entries = 49 * sv22_fock.dimension  # the words of grading <= 3 x dimension 4,097
+    monkeypatch.setattr(gelfand, "MAX_CHECK_ENTRIES", entries)
+    assert gelfand.multiplicativity_check(sv22_fock, pt)["wordCount"] == 49
+    monkeypatch.setattr(gelfand, "MAX_CHECK_ENTRIES", entries - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            gelfand.multiplicativity_check(sv22_fock, pt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < entries * 16 // 8  # an eighth of one complex matrix
 
 
 def test_character_object(sv22_cyclic, sv22_fock):

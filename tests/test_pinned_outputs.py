@@ -6,8 +6,10 @@ it writes must hash to the values recorded here.  The commands are the
 ``validate-sweep`` and ``fock-exact`` benchmark commands at seed 7
 (``seed:8`` is the first invalid k = 3 table from seed 8), ``validate`` and
 ``analyze`` on direct products and on the invalid ``single-vertex 2 2 2
-cyclic``, and ``fock`` ops named by product edge ids, one of which is not an
-edge (exit 1).  ``gelfand`` reports are left out, because their float digits
+cyclic``, ``analyze`` on two many-vertex graphs (``product c12 f2`` has a
+double pure cycle with access words of up to 11 letters, ``cycle 12 3`` has
+none, so every site is searched to the end), and ``fock`` ops named by
+product edge ids, one of which is not an edge (exit 1).  ``gelfand`` reports are left out, because their float digits
 depend on numpy's multiply loop and on the CPU.  A change that alters one of
 these outputs on purpose records the new hash with the reason.
 """
@@ -45,6 +47,10 @@ PINNED = [
      "71eb0a3bf736918ee7f9385a9ec4b3339dd414ebc7bd516025dc80a4542a8aa2", None),
     (["analyze", "cycle", "4", "3"], 0,
      "4dd73f8cc4fef7f5ed6611ed3931c2dc31dd8c691572d866f0f263555a6219ec", None),
+    (["analyze", "product", "c12", "f2"], 0,
+     "b1d189899883e5de8dbaacbfd031ed87f7e1a8169b55b0aa8aab0b195e832c02", None),
+    (["analyze", "cycle", "12", "3"], 0,
+     "d7fe867e5861c975f68cf3d8bff452f32004d446a07f3c5911526454c9db4be7", None),
     (["analyze", "single-vertex", "2", "2", "2", "cyclic"], 2,
      "263d58da3c12751c6ae301cdc84f50d25d34f5242ee3056ead7884abdf61be69", None),
     (["fock", "product", "f2", "f3", "--trunc", "5", "--op", "e1.1(v)"], 0,

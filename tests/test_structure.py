@@ -8,6 +8,7 @@ from conftest import (
     oracle_classify_vertices,
     oracle_double_pure_cycle,
     oracle_pure_primitive_cycles,
+    oracle_shortest_access_words,
     random_k3_candidates,
     random_valid_kgraphs,
 )
@@ -145,6 +146,17 @@ def test_cycle_listing_and_property_match_dfs_oracle(verdict_graphs):
         assert dpc == oracle_double_pure_cycle(g)
         with_dpc += dpc is not None
     assert answered > 1000 and 0 < with_dpc < answered
+
+
+def test_access_words_match_bellman_ford_oracle(verdict_graphs):
+    targets = partial = 0
+    for g in verdict_graphs:
+        for v in g.vertices:
+            access = structure._shortest_access_words(g, v)
+            assert access == oracle_shortest_access_words(g, v)
+            targets += 1
+            partial += set(access) != set(g.vertices)
+    assert targets > 2000 and 0 < partial < targets
 
 
 def test_double_pure_cycle_past_the_cycle_budget():
