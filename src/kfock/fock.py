@@ -30,15 +30,16 @@ The factorization property makes these the normal forms of the composed
 words.  A creation operator of a path is the chain of gathers along its word:
 a 0/1 operator with at most one entry per column that holds its column -> row
 map and builds its CSR matrix only when arithmetic reads it.
-The exact checks take that map (``image``) and compose maps by gathers
-instead of multiplying matrices.  Gradings only grow along a word, so images
-beyond the truncation never come back and identities between words of the
-generators hold exactly (integer arithmetic) on the interior block
-{delta <= N - g}, where g bounds the grading of the words involved.  Floating
-point enters only through scalar coefficients (Cesaro weights, user
-combinations).  Wherever the edge maps are injective, distinct paths of one
-degree have orthogonal ranges exactly when distinct edges of one colour do,
-so range orthogonality is one bincount per colour over the rows of ``left``.
+The exact checks compose maps by gathers instead of multiplying matrices; they
+read the rows of ``left`` and each right generator's map (``image``), one at a
+time.  Gradings only grow along a word, so images beyond the truncation never
+come back and identities between words of the generators hold exactly (integer
+arithmetic) on the interior block {delta <= N - g}, where g bounds the grading
+of the words involved.  Floating point enters only through scalar coefficients
+(Cesaro weights, user combinations).  Wherever the edge maps are injective,
+distinct paths of one degree have orthogonal ranges exactly when distinct edges
+of one colour do, so range orthogonality is one bincount per colour over the
+rows of ``left``.
 The isometries of ``orthogonal_isometries`` sum creation operators on
 disjoint columns (each term starts at its own vertex), so they are maps too;
 a Cesaro sum gathers its terms' entries, kept apart by unique factorization.
@@ -513,31 +514,37 @@ def commutant_residual(fock: TruncatedFock):
     """Largest interior-block entry of L_a R_b - R_b L_a over all generator
     pairs; exactly 0 on a valid graph.  Letters raise the grading by one, so
     the block {delta <= N - m}, m = |a| + |b|, is reached only from columns
-    of grading <= N - 2m; the entry is 1 when the two maps differ there."""
-    gens = fock.generator_paths()
-    lefts = [(p.delta, image(left_op(fock, p))) for p in gens]
-    rights = [(p.delta, image(right_op(fock, p))) for p in gens]
-    interior = {m: fock.interior_indices(m) for m in (0, 2, 4)}  # generators: delta <= 1
-    for da, la in lefts:
-        for db, rb in rights:
-            cols = interior[2 * (da + db)]
-            if (la[rb[cols]] != rb[la[cols]]).any():
-                return 1
+    of grading <= N - 2m; the entry is 1 when the two maps differ there.
+    One pass per right generator b tests every left one against R_b at once:
+    L_v keeps the columns of range v, L_a is row a of ``left``, and where R_b
+    is undefined so is L_a R_b, so R_b L_a must be too."""
+    left, dst = fock.left, fock.ends[1]
+    # the defined entries (a, c) of left on the blocks of margin 2 |b| + 2 (prefixes: views)
+    entries = {m: np.nonzero(left[:, :len(fock.interior_indices(m))] >= 0) for m in (2, 4)}
+    for b in fock.generator_paths():
+        rb = image(right_op(fock, b))
+        got = rb[fock.interior_indices(2 * b.delta)]  # the block of the pairs (L_v, R_b)
+        kept = np.flatnonzero(got >= 0)
+        cols = np.flatnonzero(rb[fock.interior_indices(2 * b.delta + 2)] >= 0)
+        a, c = entries[2 * b.delta + 2]
+        if ((dst[got[kept]] != dst[kept]).any() or (left[:, rb[cols]] != rb[left[:, cols]]).any()
+                or ((rb[c] < 0) & (rb[left[a, c]] >= 0)).any()):
+            return 1
     return 0
 
 
 def partial_isometry_residual(fock: TruncatedFock):
     """Max interior residual of L_e* L_e = L_{s(e)} over all edges; exact 0
-    on a valid graph.  On {delta <= N - 1} it is 1 when L_e is defined on
-    other columns than L_{s(e)} keeps or two columns share an image."""
-    cols = fock.interior_indices(1)
-    kept = {v: image(left_op(fock, v))[cols] >= 0 for v in fock.graph.vertices}
-    for e in fock.graph.edges:
-        img = image(left_op(fock, e.id))[cols]
-        hit = img[img >= 0]
-        if (kept[e.src] != (img >= 0)).any() or len(np.unique(hit)) < len(hit):
-            return 1
-    return 0
+    on a valid graph.  On {delta <= N - 1}, a prefix of the basis, it is 1
+    when a row of ``left`` is defined on other columns than those of range
+    s(e) or repeats an image; the whole block is read in one pass."""
+    block = fock.left[:, :len(fock.interior_indices(1))]  # a view, not a copy
+    defined = block >= 0
+    e, c = np.nonzero(defined)
+    hit = e * fock.left.shape[1] + block[e, c]  # (row, image) pairs as keys
+    esrc = fock._edge_arrays[1]
+    return int((defined != (esrc[:, None] == fock.ends[1][:block.shape[1]])).any()
+               or len(np.unique(hit)) < len(hit))
 
 
 def same_degree_range_conflicts(fock: TruncatedFock):
@@ -636,38 +643,31 @@ def verify_cycle_blocks(n: int, k: int, trunc: int) -> dict:
     Grouping the basis by range vertex, every color-c generator out of x_i
     occupies exactly block position (i+1, i) mod n, vertex projections are
     block diagonal, and each path from x_j to x_i has grading congruent to
-    i - j mod n.
+    i - j mod n.  The generator out of x_i is a row of ``left``, so the
+    generator blocks are read off its defined entries, all rows in one pass.
     """
     from .builders import cycle_rank
 
     g = cycle_rank(n, k)
     fock = TruncatedFock(g, trunc)
-    vnum = {v: int(v[1:]) for v in g.vertices}  # x7 -> 7
-    num = np.array([vnum[v] for v in g.vertices])  # by vertex code
-    src, dst = fock.ends
-    block = num[dst]  # rows and columns alike
-
-    gen_blocks = {}
-    gen_ok = True
-    for e in g.edges:
-        img = image(left_op(fock, e.id))
-        cols = np.flatnonzero(img >= 0)
-        i = vnum[e.src]
-        gen_blocks[e.id] = [i % n + 1, i]
-        gen_ok &= bool((block[img[cols]] == i % n + 1).all() and (block[cols] == i).all())
+    num = np.array([int(v[1:]) for v in g.vertices])  # x7 -> 7, by vertex code
+    block = num[fock.ends[1]]  # rows and columns alike
+    i = num[fock._edge_arrays[1]]  # by edge code: the generator's source is x_i
+    e, cols = np.nonzero(fock.left >= 0)
+    gen_ok = bool((block[fock.left[e, cols]] == i[e] % n + 1).all() and (block[cols] == i[e]).all())
 
     proj_ok = True
-    for v in g.vertices:
+    for v, x in zip(g.vertices, num.tolist()):
         img = image(left_op(fock, g.identity(v)))
         cols = np.flatnonzero(img >= 0)
-        proj_ok &= bool((img[cols] == cols).all() and (block[cols] == vnum[v]).all())
+        proj_ok &= bool((img[cols] == cols).all() and (block[cols] == x).all())
 
-    congruence_ok = bool(((fock.deltas - (block - num[src])) % n == 0).all())
+    congruence_ok = bool(((fock.deltas - (block - num[fock.ends[0]])) % n == 0).all())
     return {
         "n": n,
         "k": k,
         "trunc": trunc,
-        "generatorBlocks": {eid: gen_blocks[eid] for eid in sorted(gen_blocks)},
+        "generatorBlocks": {x.id: [j % n + 1, j] for x, j in zip(g.edges, i.tolist())},  # by id
         "generatorBlocksOk": gen_ok,
         "vertexProjectionsDiagonal": proj_ok,
         "degreeCongruenceOk": congruence_ok,

@@ -51,6 +51,64 @@ def test_residuals_match_sparse_product_oracles():
     assert nonzero["commutant"] >= 5 and nonzero["isometry"] >= 5, nonzero
 
 
+def test_residuals_of_corrupted_tables_match_sparse_product_oracles():
+    """Seeded corruptions of one ``left`` or ``right`` entry at N = 4, the
+    least N at which every comparison's block is nonempty.  The entry becomes
+    -1 or another index of grading delta(c) + 1, so gradings still grow along
+    words and the oracles' interior blocks of rows and columns stay
+    comparable.  The column's grading is drawn first, so the few columns of
+    low grading, which every block holds, come up often."""
+    graphs = [g for _, g in _suite_graphs()]
+    rng = np.random.default_rng(0)
+    nonzero = Counter()
+    for trial in range(60):
+        space = fock.TruncatedFock(graphs[trial % len(graphs)], 4)
+        which = ("left", "right")[int(rng.integers(2))]
+        table = getattr(space, which).copy()
+        t = rng.choice(np.unique(space.deltas[space.interior_indices(1)]))
+        e, c = int(rng.integers(len(table))), int(rng.choice(np.flatnonzero(space.deltas == t)))
+        above = np.flatnonzero(space.deltas == t + 1)
+        table[e, c] = rng.choice(above) if len(above) and rng.random() < 0.5 else -1
+        space.__dict__[which] = table
+        got = (fock.commutant_residual(space), fock.partial_isometry_residual(space))
+        want = (oracle_commutant_residual(space), oracle_partial_isometry_residual(space))
+        assert got == want, (trial, which, e, c)
+        nonzero.update(["commutant"] * got[0] + ["isometry"] * got[1])
+    assert nonzero["commutant"] >= 5 and nonzero["isometry"] >= 5, nonzero
+
+
+@pytest.mark.parametrize("grading", [0, 2])
+def test_commutant_sees_corruptions_only_one_comparison_can(grading):
+    """On cycle 3 2 at N = 4: an edge b's image of a vertex column dropped to
+    -1 shows only where R_b is undefined (R_b L_a is still defined there); a
+    grading-2 image moved to another range vertex shows only against the
+    vertex projections, since the edge-pair block stops at grading 0."""
+    space = fock.TruncatedFock(builders.cycle_rank(3, 2), 4)
+    right, dst = space.right.copy(), space.ends[1]
+    c = space.grade_indices(grading)[0]
+    b = np.flatnonzero(right[:, c] >= 0)[0]
+    moved = np.flatnonzero((space.deltas == grading + 1) & (dst != dst[c]))
+    right[b, c] = moved[0] if grading else -1
+    space.__dict__["right"] = right
+    assert fock.commutant_residual(space) == oracle_commutant_residual(space) == 1
+
+
+def test_checks_read_left_and_build_each_right_generator_once(monkeypatch):
+    """Neither check builds a left creation operator (they read the rows of
+    ``left``), and the commutant builds each right generator's map once."""
+    calls = Counter()
+    for name in ("left_op", "right_op"):
+        def counted(*args, _name=name, _real=getattr(fock, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(fock, name, counted)
+    for _, g in _suite_graphs():
+        space = fock.TruncatedFock(g, 4)
+        calls.clear()
+        assert (fock.commutant_residual(space), fock.partial_isometry_residual(space)) == (0, 0)
+        assert (calls["left_op"], calls["right_op"]) == (0, len(g.vertices) + len(g.edges))
+
+
 def _radical_cases():
     cases = _cases() + [("chain 4", builders.chain(4))]
     return cases + [(f"random {i}", g) for i, g in enumerate(random_valid_kgraphs(4, 5))]

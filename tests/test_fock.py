@@ -1,5 +1,6 @@
 """Exact operator checks on truncated Fock spaces."""
 
+import itertools
 import tracemalloc
 from collections import Counter
 
@@ -284,6 +285,13 @@ def test_cycle_block_structure():
     }
     rep4 = fock.verify_cycle_blocks(4, 3, 5)
     assert rep4["ok"]
+    # the closed form [i mod n + 1, i] for the colour-c edge out of x_i, keys in id
+    # order; trunc 0 (no edge entry in left) and the loops of n = 1 included
+    for n, k, trunc in itertools.product(range(1, 7), range(1, 4), range(6)):
+        rep = fock.verify_cycle_blocks(n, k, trunc)
+        want = {f"{letter}{i}": [i % n + 1, i] for letter in "efg"[:k] for i in range(1, n + 1)}
+        assert rep["generatorBlocks"] == want and list(rep["generatorBlocks"]) == sorted(want)
+        assert rep["ok"], (n, k, trunc)
 
 
 def test_right_op_unitarily_equivalent_to_transposed_left(cycle32, chain3, sv22_cyclic):
