@@ -11,25 +11,26 @@ checked before it is allocated; one sort of its (path group, edge) pairs puts
 it in degree order, with each degree that holds a path a contiguous run.  The
 build stops at the first empty grade, so its work is bounded by the basis,
 not by N.  ``basis[i]`` rebuilds a ``Path`` from the parent chain on demand.
-The space holds one representation that every operator is read from: integer
-edge-action tables
+The space holds one representation that every operator is read from: the
+integer edge-action table
 
-    left[e, i]  = index of e xi_i      right[e, i] = index of xi_i e
+    left[e, i] = index of e xi_i
 
-with -1 where the edges do not compose or the image lies beyond N.  They are
-built once, lazily, grade by grade from the links, after a check that one
-table has at most ``MAX_TABLE_ENTRIES`` entries:
+with -1 where the edges do not compose or the image lies beyond N.  It is
+built once, lazily, grade by grade from the links, after a check that it has
+at most ``MAX_TABLE_ENTRIES`` entries:
 
 * the colour-sorted entries, where colour(e) <= colour(lead(p)), are
   ``left[lead(i), parent(i)] = i``;
 * otherwise the square (e, lead(i)) -> (a, b) rewrites the front pair, and
-  ``left[e, i] = left[a, left[b, parent(i)]]``, a colour-sorted entry;
-* ``right[e, i] = left[lead(i), right[e, parent(i)]]``.
+  ``left[e, i] = left[a, left[b, parent(i)]]``, a colour-sorted entry.
 
 The factorization property makes these the normal forms of the composed
 words.  A creation operator of a path is the chain of gathers along its word:
 a 0/1 operator with at most one entry per column that holds its column -> row
-map and builds its CSR matrix only when arithmetic reads it.
+map and builds its CSR matrix only when arithmetic reads it.  A left one
+gathers through rows of ``left``; a right one through each letter e's map
+i -> index of xi_i e, built per generator from ``left`` when it is asked for.
 The exact checks compose maps by gathers instead of multiplying matrices; they
 read the rows of ``left`` and each right generator's map (``image``), one at a
 time.  Gradings only grow along a word, so images beyond the truncation never
@@ -125,8 +126,8 @@ class TruncatedFock:
     basis order.  ``basis`` rebuilds a ``Path`` on each access.  Construction
     assumes the graph has been validated; a basis of more than
     ``MAX_DIMENSION`` paths raises ``BudgetError`` before the grade that
-    passes the cap is allocated.  ``left`` and ``right`` are the edge-action
-    tables of the module docstring; their rows follow ``edge_codes``.
+    passes the cap is allocated.  ``left`` is the edge-action table of the
+    module docstring, rows in ``edge_codes`` order; each R_b is built from it.
     """
 
     def __init__(self, graph: KGraph, trunc: int):
@@ -271,11 +272,6 @@ class TruncatedFock:
         gather through an undefined entry stay undefined."""
         return _left_table(self)
 
-    @functools.cached_property
-    def right(self) -> np.ndarray:
-        """right[e, i]: index of xi_i e, or -1; same layout as ``left``."""
-        return _right_table(self)
-
     def __repr__(self):
         return f"TruncatedFock({self.graph!r}, N={self.trunc}, dim={self.dimension})"
 
@@ -360,7 +356,7 @@ def _left_table(fock: TruncatedFock) -> np.ndarray:
     code = fock.edge_codes
     color = fock._edge_arrays[0]
     parent, lead = fock.parent_links()
-    if len(edges) * (fock.dimension + 1) > MAX_TABLE_ENTRIES:  # right has the same size
+    if len(edges) * (fock.dimension + 1) > MAX_TABLE_ENTRIES:
         raise BudgetError(f"an edge-action table of {len(edges)} x {fock.dimension + 1} "
                           f"entries is over {MAX_TABLE_ENTRIES}")
     left = np.full((len(edges), fock.dimension + 1), -1, dtype=np.int64)
@@ -399,32 +395,30 @@ def _left_table(fock: TruncatedFock) -> np.ndarray:
     return left
 
 
-def _right_table(fock: TruncatedFock) -> np.ndarray:
-    """right[e, i] = left[lead(i), right[e, parent(i)]], one grade at a time."""
+def _right_map(fock: TruncatedFock, left, e) -> np.ndarray:
+    """Index of xi_i e for each column i, or -1: the right creation map of
+    edge code ``e``, one grade at a time from ``left`` along the parent links."""
     parent, lead = fock.parent_links()
-    left = fock.left
     _, esrc, edst = fock._edge_arrays
-    right = np.full_like(left, -1)
-    # xi_v e is the edge path e = e xi_{s(e)} when e ends at v; identity v has index v
-    right[np.arange(len(left)), edst] = left[np.arange(len(left)), esrc]
-    for t in range(1, len(fock._grades)):
-        idx = fock.grade_indices(t)
-        right[:, idx] = left[lead[idx], right[:, parent[idx]]]
-    return right
+    row = np.full(left.shape[1], -1)
+    row[edst[e]] = left[e, esrc[e]]  # xi_v e = e xi_{s(e)} when e ends at v; identity v has index v
+    for start, stop in fock._grades[1:]:
+        row[start:stop] = left[lead[start:stop], row[parent[start:stop]]]
+    return row
 
 
-def _creation_op(fock: TruncatedFock, lam: Path, table, ends, letters) -> SparseOperator:
-    """The 0/1 operator taking xi_i to the image of i under ``letters`` in
-    ``table``; an identity keeps the xi_i whose ``ends`` is its vertex."""
+def _creation_op(fock: TruncatedFock, lam: Path, maps, ends) -> SparseOperator:
+    """The 0/1 operator taking xi_i to its image under the letter ``maps`` in
+    order; an identity keeps the xi_i whose ``ends`` is its vertex."""
     if lam.is_identity:
         img = np.full(fock.dimension + 1, -1)
         kept = np.flatnonzero(ends == fock.vertex_codes[lam.src])
         img[kept] = kept
     else:
-        # column `dimension` of a table is -1, so the trailing entry stays -1
+        # column `dimension` of a map is -1, so the trailing entry stays -1
         img = np.arange(fock.dimension + 1)
-        for x in letters:
-            img = table[fock.edge_codes[x], img]
+        for m in maps:
+            img = m[img]
     img.flags.writeable = False
     return SparseOperator(fock, image=img)
 
@@ -435,14 +429,16 @@ def left_op(fock: TruncatedFock, what) -> SparseOperator:
     Vertices give the range projections, edges the generating partial
     isometries.  Entries are 0/1 integers.
     """
-    lam = fock.as_path(what)
-    return _creation_op(fock, lam, fock.left, fock.ends[1], reversed(lam.word))
+    lam, left = fock.as_path(what), fock.left  # read for identities too, so they raise as edges do
+    return _creation_op(fock, lam, (left[fock.edge_codes[x]] for x in reversed(lam.word)),
+                        fock.ends[1])
 
 
 def right_op(fock: TruncatedFock, what) -> SparseOperator:
     """Right creation operator xi_mu -> xi_{mu lambda} when composable."""
-    lam = fock.as_path(what)
-    return _creation_op(fock, lam, fock.right, fock.ends[0], lam.word)
+    lam, left = fock.as_path(what), fock.left  # read for identities too, so they raise as edges do
+    return _creation_op(fock, lam, (_right_map(fock, left, fock.edge_codes[x]) for x in lam.word),
+                        fock.ends[0])
 
 
 def word_op(fock: TruncatedFock, word, base=None) -> SparseOperator:

@@ -111,26 +111,17 @@ def transpose_pairing(space, space_t):
     """perm[i] = index in ``space_t`` of the reversed path of basis[i].
 
     The permutation realizes the unitary identifying the two Fock spaces
-    under edge reversal.  Path i is lead(i) parent(i), so its reversal is
-    that of parent(i) with lead(i) applied first: perm[i] =
-    space_t.right[lead(i), perm[parent(i)]], grade by grade from the
-    identities.  Raises ``DomainError`` when ``space_t``'s graph is not
-    ``space``'s reversed or a reversed path lies past its truncation.
+    under edge reversal: perm[i] is ``space_t.index_of`` the normal form of
+    basis[i]'s word reversed, so no right creation operator is involved.
+    Raises ``DomainError`` when ``space_t``'s graph is not ``space``'s
+    reversed or a reversed path lies past its truncation.
     """
     g, g_t = space.graph, space_t.graph
     if ((g_t.vertices, [(e.id, e.color, e.src, e.dst) for e in g_t.edges])
             != (g.vertices, [(e.id, e.color, e.dst, e.src) for e in g.edges])):
         raise DomainError("the second space is not over the transposed graph")
-    parent, lead = space.parent_links()
-    perm = np.empty(space.dimension, dtype=np.int64)
-    perm[space.grade_indices(0)] = space_t.grade_indices(0)
-    for t in range(1, int(space.deltas[-1]) + 1):  # the last grade that holds a path
-        idx = space.grade_indices(t)
-        perm[idx] = space_t.right[lead[idx], perm[parent[idx]]]
-    if (perm < 0).any():
-        raise DomainError(f"the reversal of {space.basis[int(np.argmax(perm < 0))]!r} "
-                          f"is not a basis path of {space_t!r}")
-    return perm
+    return np.array([space_t.index_of(g_t.normal_form(p.word[::-1], base=p.src))
+                     for p in space.basis], dtype=np.int64)
 
 
 def relabel_edges(g: KGraph, rename) -> KGraph:

@@ -51,25 +51,46 @@ def test_residuals_match_sparse_product_oracles():
     assert nonzero["commutant"] >= 5 and nonzero["isometry"] >= 5, nonzero
 
 
-def test_residuals_of_corrupted_tables_match_sparse_product_oracles():
-    """Seeded corruptions of one ``left`` or ``right`` entry at N = 4, the
-    least N at which every comparison's block is nonempty.  The entry becomes
-    -1 or another index of grading delta(c) + 1, so gradings still grow along
-    words and the oracles' interior blocks of rows and columns stay
-    comparable.  The column's grading is drawn first, so the few columns of
-    low grading, which every block holds, come up often."""
+def _right_maps(space):
+    """The edges' right creation maps, one row per edge code."""
+    return np.array([fock.image(fock.right_op(space, e.id)) for e in space.graph.edges])
+
+
+def _serve_right_maps(monkeypatch, space, right, real=fock.right_op):
+    """Make ``fock.right_op`` give each edge of ``space`` its row of ``right``,
+    which both ``commutant_residual`` and the oracle read; every other call
+    goes to the real ``right_op``, bound when this module is imported."""
+    def patched(sp, what):
+        lam = sp.as_path(what)
+        if sp is space and len(lam.word) == 1:
+            return fock.SparseOperator(sp, image=right[sp.edge_codes[lam.word[0]]])
+        return real(sp, what)
+    monkeypatch.setattr(fock, "right_op", patched)
+
+
+def test_residuals_of_corrupted_tables_match_sparse_product_oracles(monkeypatch):
+    """Seeded corruptions of one entry of ``left`` or of an edge's right
+    creation map at N = 4, the least N at which every comparison's block is
+    nonempty.  The entry becomes -1 or another index of grading delta(c) + 1,
+    so gradings still grow along words and the oracles' interior blocks of
+    rows and columns stay comparable.  The column's grading is drawn first,
+    so the few columns of low grading, which every block holds, come up
+    often."""
     graphs = [g for _, g in _suite_graphs()]
     rng = np.random.default_rng(0)
     nonzero = Counter()
     for trial in range(60):
         space = fock.TruncatedFock(graphs[trial % len(graphs)], 4)
         which = ("left", "right")[int(rng.integers(2))]
-        table = getattr(space, which).copy()
+        table = space.left.copy() if which == "left" else _right_maps(space)
         t = rng.choice(np.unique(space.deltas[space.interior_indices(1)]))
         e, c = int(rng.integers(len(table))), int(rng.choice(np.flatnonzero(space.deltas == t)))
         above = np.flatnonzero(space.deltas == t + 1)
         table[e, c] = rng.choice(above) if len(above) and rng.random() < 0.5 else -1
-        space.__dict__[which] = table
+        if which == "left":
+            space.__dict__["left"] = table
+        else:
+            _serve_right_maps(monkeypatch, space, table)
         got = (fock.commutant_residual(space), fock.partial_isometry_residual(space))
         want = (oracle_commutant_residual(space), oracle_partial_isometry_residual(space))
         assert got == want, (trial, which, e, c)
@@ -78,18 +99,18 @@ def test_residuals_of_corrupted_tables_match_sparse_product_oracles():
 
 
 @pytest.mark.parametrize("grading", [0, 2])
-def test_commutant_sees_corruptions_only_one_comparison_can(grading):
+def test_commutant_sees_corruptions_only_one_comparison_can(grading, monkeypatch):
     """On cycle 3 2 at N = 4: an edge b's image of a vertex column dropped to
     -1 shows only where R_b is undefined (R_b L_a is still defined there); a
     grading-2 image moved to another range vertex shows only against the
     vertex projections, since the edge-pair block stops at grading 0."""
     space = fock.TruncatedFock(builders.cycle_rank(3, 2), 4)
-    right, dst = space.right.copy(), space.ends[1]
+    right, dst = _right_maps(space), space.ends[1]
     c = space.grade_indices(grading)[0]
     b = np.flatnonzero(right[:, c] >= 0)[0]
     moved = np.flatnonzero((space.deltas == grading + 1) & (dst != dst[c]))
     right[b, c] = moved[0] if grading else -1
-    space.__dict__["right"] = right
+    _serve_right_maps(monkeypatch, space, right)
     assert fock.commutant_residual(space) == oracle_commutant_residual(space) == 1
 
 

@@ -60,11 +60,27 @@ def test_oversized_edge_tables_are_refused_before_allocation():
         with pytest.raises(BudgetError):
             space.left
         with pytest.raises(BudgetError):
-            space.right
+            fock.right_op(space, "e1")
+        with pytest.raises(BudgetError):
+            fock.right_op(space, "x1")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 24
+
+
+def test_commutant_builds_each_right_map_from_left_without_a_second_table():
+    """Each R_b is built from ``left`` when asked for, one map at a time, so
+    the commutant check allocates far less than a second |E|-row table."""
+    space = fock.TruncatedFock(builders.cycle_rank(200, 3), 4)
+    left = space.left
+    tracemalloc.start()
+    try:
+        assert fock.commutant_residual(space) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < left.nbytes / 4, (peak, left.nbytes)
 
 
 def test_missing_squares_are_named_in_edge_then_column_order():
