@@ -179,12 +179,13 @@ def _cmd_gelfand(args):
             "onVariety": on_var,
         }
         if gelfand.in_ball(g, pt, open_=True):
-            entry["normCheck"] = gelfand.omega_norm_check(space, pt)
+            omega = gelfand.omega_vector(space, pt)  # one build for every check of the point
+            entry["normCheck"] = gelfand.omega_norm_check(space, pt, omega=omega)
             mult = gelfand.multiplicativity_check(space, pt, tol=args.tol)
             entry["multiplicativity"] = mult
             if on_var:
                 entry["eigenResiduals"] = {
-                    e.id: gelfand.eigen_residual(g, e.id, pt, trunc, fock=space)
+                    e.id: gelfand.eigen_residual(g, e.id, pt, trunc, fock=space, omega=omega)
                     for e in g.edges
                 }
                 point_ok = (entry["normCheck"]["ok"]

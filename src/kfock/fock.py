@@ -555,18 +555,19 @@ def same_degree_range_conflicts(fock: TruncatedFock):
     L_x and L_y, since L_P is injective whenever every edge map is
     (``partial_isometry_residual`` checks that in its shared-image test).
 
-    Per colour, one bincount over that colour's rows of ``left`` finds the
-    basis vectors hit twice.  Triples come in colour order, then edge order,
-    then basis order, naming the first edge whose range held the vector.
+    The defined entries of ``left`` are found once, without copying its rows;
+    per colour, one bincount over that colour's entries finds the basis
+    vectors hit twice.  Triples come in colour order, then edge order, then
+    basis order, naming the first edge whose range held the vector.
     """
     g = fock.graph
     color = fock._edge_arrays[0]
+    owners, cols = np.nonzero(fock.left >= 0)
+    images = fock.left[owners, cols]
     conflicts = []
     for c in range(1, g.k + 1):
-        es = np.flatnonzero(color == c)
-        block = fock.left[es]
-        owner, col = np.nonzero(block >= 0)
-        rows = block[owner, col]
+        at = np.flatnonzero(color[owners] == c)
+        owner, rows = owners[at], images[at]
         twice = np.bincount(rows)[rows] > 1
         if not twice.any():
             continue
@@ -575,8 +576,8 @@ def same_degree_range_conflicts(fock: TruncatedFock):
         first = {}
         for o, r in zip(owner[order].tolist(), rows[order].tolist()):
             if first.setdefault(r, o) != o:
-                conflicts.append((g.edge_path(g.edges[es[first[r]]].id),
-                                  g.edge_path(g.edges[es[o]].id), fock.basis[r]))
+                conflicts.append((g.edge_path(g.edges[first[r]].id),
+                                  g.edge_path(g.edges[o].id), fock.basis[r]))
     return conflicts
 
 

@@ -43,7 +43,7 @@ __all__ = [
 
 VARIETY_TOL = 1e-9  # largest binomial residual of a point on the variety
 MAX_TAIL_GRADING = 400  # truncation_for_tail gives up beyond this grading
-MAX_CHECK_ENTRIES = 2 ** 25  # largest words x dimension of a multiplicativity matrix: 512 MiB
+MAX_CHECK_ENTRIES = 2 ** 25  # largest words x dimension a multiplicativity check takes
 
 
 def _require_single_vertex(g: KGraph):
@@ -217,16 +217,17 @@ def character_truncation(norms_sq, word_budget: int, tol: float) -> int:
     return truncation_for_tail(norms_sq, tol / 8.0) + 2 * word_budget
 
 
-def omega_norm_check(fock, alpha) -> dict:
+def omega_norm_check(fock, alpha, omega=None) -> dict:
     """Compare the truncated squared norm against the closed form.
 
-    The gap must not exceed the mathematical tail plus float slack.
+    The gap must not exceed the mathematical tail plus float slack.  A caller
+    that already holds ``omega_vector(fock, alpha)`` may pass it as ``omega``.
     """
     g = fock.graph
     point = as_point(g, alpha)
     norms = _check_interior(g, point)
     norms_sq = [r * r for r in norms]
-    vec = omega_vector(fock, point)
+    vec = omega_vector(fock, point) if omega is None else omega
     partial = float(np.vdot(vec, vec).real)
     closed = float(np.prod([1.0 / (1.0 - r) for r in norms_sq]))
     layers = _truncated_norm_series(norms_sq, fock.trunc)
@@ -245,7 +246,8 @@ def omega_norm_check(fock, alpha) -> dict:
 # -- eigen relation ------------------------------------------------------------
 
 
-def eigen_residual(g: KGraph, edge_id: str, alpha, trunc: int, fock=None) -> float:
+def eigen_residual(g: KGraph, edge_id: str, alpha, trunc: int, fock=None,
+                   omega=None) -> float:
     """max over delta(lambda) <= trunc-1 of |(L_e* omega)_lambda - alpha_e omega_lambda|.
 
     The relation is read off the edge's row of ``left`` over the interior,
@@ -259,6 +261,8 @@ def eigen_residual(g: KGraph, edge_id: str, alpha, trunc: int, fock=None) -> flo
     prod c_i^{m_i}, so the relation is the same on the Fock space of the
     degree lattice N^k (one loop per colour, one path per degree) at the
     point (c_i), which stays small where the basis over ``g`` would not.
+    With a space, a caller that already holds ``omega_vector(fock, alpha)``
+    may pass it as ``omega``.
     """
     if fock is not None and fock.graph is not g:
         raise DomainError("fock space was built over a different graph")
@@ -274,6 +278,8 @@ def eigen_residual(g: KGraph, edge_id: str, alpha, trunc: int, fock=None) -> flo
         if fock.trunc != trunc:
             raise DomainError("fock truncation disagrees with `trunc`")
     else:
+        if omega is not None:
+            raise DomainError("omega needs the fock space it was built over")
         if any(np.any(part != part[:1]) for part in point):
             raise UnsupportedGraphError(
                 "non-constant coordinates need an explicit fock space"
@@ -282,7 +288,7 @@ def eigen_residual(g: KGraph, edge_id: str, alpha, trunc: int, fock=None) -> flo
         fock = TruncatedFock(single_vertex(ones, identity_table(ones)), trunc)
         point = tuple(part[:1] if len(part) else np.zeros(1, dtype=complex) for part in point)
         edge_id = f"e{e.color}_1"
-    vec = omega_vector(fock, point)
+    vec = omega_vector(fock, point) if omega is None else omega
     n = len(fock.interior_indices(1))
     # (L_e* omega)_i = omega at the index of e xi_i
     adj = vec[fock.left[fock.edge_codes[edge_id], :n]]
@@ -348,15 +354,24 @@ def multiplicativity_check(fock, alpha, grading_budget: int = 3,
     """Vector-functional multiplicativity over all word pairs up to a grading.
 
     Runs for any interior point, on or off the variety, so it doubles as the
-    negative control: off-variety points must show a violation.  Matrices of
-    more than ``MAX_CHECK_ENTRIES`` words x dimension entries are refused with
-    ``BudgetError`` before they are allocated.
+    negative control: off-variety points must show a violation.  A budget
+    whose words x dimension exceeds ``MAX_CHECK_ENTRIES`` is refused with
+    ``BudgetError`` before any work.  No matrix of that size is formed, but
+    the bound still decides which checks run.
 
     The words are the basis prefix of grading <= budget.  At one vertex every
     path composes, so L_p is defined exactly on the prefix of grading <= N - |p|,
-    where its map is one gather of ``left`` along its parent's map.  The residual
-    is rounding noise: another summation order in the products, or a complex
-    multiply on a view instead of a fresh array, would change its digits.
+    where its map is one gather of ``left`` along its parent's map.  There the
+    row Y_p = conj(L_p^T nu) is ``conj(nu)`` gathered along that map, and
+    rho_p = <L_p nu, nu> is Y_p times nu's prefix.  L_i L_j is defined on the
+    prefix of grading <= N - |i| - |j|, so <L_i L_j nu, nu> is the rows Y_i
+    gathered along L_j's map on that prefix, times nu's prefix: one
+    matrix-vector product per (grading of i, word j), and no matrix of words x
+    dimension entries.  The row of the vertex is rho, as L_v is the identity.
+
+    The residual is rounding noise: another summation order in the products,
+    or a complex multiply on a view instead of a fresh array, would change its
+    digits.
     """
     g = fock.graph
     point = as_point(g, alpha)
@@ -373,19 +388,24 @@ def multiplicativity_check(fock, alpha, grading_budget: int = 3,
     words = fock.basis[:n_words]
     parent, lead = fock.parent_links()
     conj = np.conj(vec)
-    U = np.zeros((len(words), fock.dimension), dtype=complex)
-    Y = np.zeros(U.shape, dtype=complex)
-    maps = {}  # word index -> its map on the prefix, kept for the words of grading < budget
-    for i, p in enumerate(words):
-        n_p = fock._prefix_end(N - p.delta)
-        img = np.arange(n_p) if parent[i] < 0 else fock.left[lead[i], maps[parent[i]][:n_p]]
-        if p.delta < grading_budget:
-            maps[i] = img
-        U[i, img] = vec[:n_p] + 0.0  # U[i] = L_p nu, -0.0 as 0.0 like a sparse product
-        Y[i, :n_p] = conj[img]  # Y[i] = conj(L_p^T nu)
-    del maps, img
-    rho = np.conj(vec) @ U.T  # rho[i] = <L_i nu, nu>
-    pair = Y @ U.T  # pair[i, j] = <L_i L_j nu, nu>
+    grades = fock._grades[:min(grading_budget, N) + 1]
+    # per grading a, the maps of its words on the prefix of grading <= N - a, one row each
+    maps = [np.arange(fock.dimension)[None]]
+    for a, (lo, hi) in enumerate(grades[1:], 1):
+        up = parent[lo:hi] - grades[a - 1][0]
+        maps.append(fock.left[lead[lo:hi, None], maps[-1][up, :fock._prefix_end(N - a)]])
+    rho = np.empty(n_words, dtype=complex)
+    pair = np.empty((n_words, n_words), dtype=complex)  # pair[i, j] = <L_i L_j nu, nu>
+    for a, (lo, hi) in enumerate(grades):
+        Y = conj[maps[a]]
+        rho[lo:hi] = Y @ vec[:Y.shape[1]]
+        if not a:
+            continue
+        for b, (start, _) in enumerate(grades):
+            n = fock._prefix_end(N - a - b)
+            for j, img in enumerate(maps[b], start):
+                pair[lo:hi, j] = Y[:, img[:n]] @ vec[:n]
+    pair[0] = rho
     resid = np.abs(pair - np.outer(rho, rho))
     worst = float(resid.max())
     wi, wj = np.unravel_index(int(resid.argmax()), resid.shape)

@@ -786,20 +786,43 @@ def oracle_radical_check(g, space, word_grading=2, ideal_grading=None):
 
 def oracle_multiplicativity_check(space, alpha, grading_budget=3, tol=1e-9):
     """``gelfand.multiplicativity_check`` with L nu and L^T nu as sparse
-    matrix-vector products."""
+    matrix-vector products, and each word's map read off its matrix instead
+    of the ``left`` table.
+
+    The sums are grouped as the library groups them, on purpose: the residual
+    is rounding noise, so any other order would move its digits and the
+    reports could not be compared exactly.  Per grading a, the rows
+    conj(L_i^T nu) of its words on their common prefix form one matrix Y;
+    rho is Y times nu's prefix, and <L_i L_j nu, nu> is Y gathered along L_j's
+    map on the columns where L_i L_j is defined, times L_j nu read along that
+    map (nu's prefix again).  ``test_character_checks_match_closed_form``
+    bounds the digits independently of any grouping."""
     g = space.graph
     point = gelfand.as_point(g, alpha)
     vec = gelfand.omega_vector(space, gelfand.conjugate_point(point))
     vec = vec / np.linalg.norm(vec)
     words = [space.basis[i] for i in np.flatnonzero(space.deltas <= grading_budget)]
-    U = np.empty((len(words), space.dimension), dtype=complex)
-    Y = np.empty_like(U)
-    for i, p in enumerate(words):
-        m = fock.left_op(space, p).matrix
-        U[i] = m @ vec
-        Y[i] = m.T @ vec
-    rho = np.conj(vec) @ U.T
-    pair = np.conj(Y) @ U.T
+    maps, nus, rows = [], [], []
+    for p in words:
+        m = fock.left_op(space, p).matrix.tocsc()
+        defined = np.flatnonzero(np.diff(m.indptr))  # a prefix at one vertex
+        assert np.array_equal(defined, np.arange(len(defined)))
+        maps.append(m.indices)  # L_p xi_k = xi_{maps[k]}
+        nus.append((m @ vec)[m.indices])  # L_p nu read along the map
+        rows.append(np.conj(m.T @ vec)[:len(defined)])  # conj(L_p^T nu) on the prefix
+    grading = np.array([p.delta for p in words])
+    rho = np.empty(len(words), dtype=complex)
+    pair = np.empty((len(words), len(words)), dtype=complex)
+    for a in np.unique(grading):
+        at = np.flatnonzero(grading == a)
+        Y = np.array([rows[i] for i in at])
+        rho[at] = Y @ nus[0][:Y.shape[1]]
+        if not a:
+            continue
+        for j in range(len(words)):
+            n = np.count_nonzero(maps[j] < Y.shape[1])  # where L_i L_j is defined
+            pair[at, j] = Y[:, maps[j][:n]] @ nus[j][:n]
+    pair[0] = rho  # L_v is the identity at one vertex
     resid = np.abs(pair - np.outer(rho, rho))
     worst = float(resid.max())
     wi, wj = np.unravel_index(int(resid.argmax()), resid.shape)

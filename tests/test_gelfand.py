@@ -273,6 +273,20 @@ def test_multiplicativity_matrices_are_refused_before_allocation(monkeypatch, sv
     assert peak < entries * 16 // 8  # an eighth of one complex matrix
 
 
+def test_multiplicativity_forms_no_words_by_dimension_matrix(sv22_cyclic):
+    """The check peaks below one complex matrix of its words x dimension
+    entries: each product is gathered on the prefix where it is defined."""
+    space = fock.TruncatedFock(sv22_cyclic, 10)
+    tracemalloc.start()
+    try:
+        rep = gelfand.multiplicativity_check(space, ((0.1, 0.1), (0.1, 0.1)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep["wordCount"], space.dimension) == (49, 20_481)
+    assert peak < 49 * 20_481 * 16
+
+
 def test_character_object(sv22_cyclic, sv22_fock):
     pt = gelfand.sample_variety_points(sv22_cyclic, 1, seed=5, max_norm=0.3)[0]
     chi = gelfand.character(sv22_cyclic, pt, fock=sv22_fock)
