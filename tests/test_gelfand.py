@@ -160,6 +160,20 @@ def test_eigen_grouped_matches_dense_at_larger_truncation(sv22_cyclic):
             assert abs(dense - grouped) <= 1e-16
 
 
+def test_checks_given_omega_match_checks_that_build_it(sv22_cyclic, sv22_fock):
+    """A caller's omega_vector gives the same values as the checks' own
+    build, and a grouped eigen residual (no space) refuses one."""
+    for pt in gelfand.sample_variety_points(sv22_cyclic, 3, seed=5, max_norm=0.4):
+        omega = gelfand.omega_vector(sv22_fock, pt)
+        assert (gelfand.omega_norm_check(sv22_fock, pt, omega=omega)
+                == gelfand.omega_norm_check(sv22_fock, pt))
+        for e in sv22_cyclic.edges:
+            assert (gelfand.eigen_residual(sv22_cyclic, e.id, pt, 8, fock=sv22_fock, omega=omega)
+                    == gelfand.eigen_residual(sv22_cyclic, e.id, pt, 8, fock=sv22_fock))
+        with pytest.raises(DomainError, match="fock space"):
+            gelfand.eigen_residual(sv22_cyclic, "e1_1", pt, 8, omega=omega)
+
+
 def test_eigen_relation_identity_theta_everywhere_in_ball(sv11):
     space = fock.TruncatedFock(sv11, 20)
     rng = np.random.default_rng(3)
