@@ -181,7 +181,7 @@ def _cmd_gelfand(args):
         if gelfand.in_ball(g, pt, open_=True):
             omega = gelfand.omega_vector(space, pt)  # one build for every check of the point
             entry["normCheck"] = gelfand.omega_norm_check(space, pt, omega=omega)
-            mult = gelfand.multiplicativity_check(space, pt, tol=args.tol)
+            mult = gelfand.multiplicativity_check(space, pt, tol=args.tol, omega=omega)
             entry["multiplicativity"] = mult
             if on_var:
                 entry["eigenResiduals"] = {

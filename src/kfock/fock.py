@@ -653,11 +653,11 @@ def verify_cycle_blocks(n: int, k: int, trunc: int) -> dict:
     e, cols = np.nonzero(fock.left >= 0)
     gen_ok = bool((block[fock.left[e, cols]] == i[e] % n + 1).all() and (block[cols] == i[e]).all())
 
-    proj_ok = True
-    for v, x in zip(g.vertices, num.tolist()):
-        img = image(left_op(fock, g.identity(v)))
-        cols = np.flatnonzero(img >= 0)
-        proj_ok &= bool((img[cols] == cols).all() and (block[cols] == x).all())
+    # L_v keeps xi_i in place where xi_i ends at v: at the range of its leading
+    # letter, or at its own vertex for an identity, so its block must be that vertex's
+    parent, lead = fock.parent_links()
+    at = np.where(parent >= 0, fock._edge_arrays[2][lead], np.arange(fock.dimension))
+    proj_ok = bool((num[at] == block).all())
 
     congruence_ok = bool(((fock.deltas - (block - num[fock.ends[0]])) % n == 0).all())
     return {

@@ -350,24 +350,24 @@ def character(g: KGraph, alpha, fock=None) -> Character:
 
 
 def multiplicativity_check(fock, alpha, grading_budget: int = 3,
-                           tol: float = 1e-9) -> dict:
+                           tol: float = 1e-9, omega=None) -> dict:
     """Vector-functional multiplicativity over all word pairs up to a grading.
 
     Runs for any interior point, on or off the variety, so it doubles as the
     negative control: off-variety points must show a violation.  A budget
     whose words x dimension exceeds ``MAX_CHECK_ENTRIES`` is refused with
     ``BudgetError`` before any work.  No matrix of that size is formed, but
-    the bound still decides which checks run.
+    the bound still decides which checks run.  A caller that already holds
+    ``omega_vector(fock, alpha)`` may pass it as ``omega``; nu is its
+    conjugate, normalized.
 
     The words are the basis prefix of grading <= budget.  At one vertex every
     path composes, so L_p is defined exactly on the prefix of grading <= N - |p|,
-    where its map is one gather of ``left`` along its parent's map.  There the
-    row Y_p = conj(L_p^T nu) is ``conj(nu)`` gathered along that map, and
-    rho_p = <L_p nu, nu> is Y_p times nu's prefix.  L_i L_j is defined on the
-    prefix of grading <= N - |i| - |j|, so <L_i L_j nu, nu> is the rows Y_i
-    gathered along L_j's map on that prefix, times nu's prefix: one
-    matrix-vector product per (grading of i, word j), and no matrix of words x
-    dimension entries.  The row of the vertex is rho, as L_v is the identity.
+    and L_i L_j = L_{ij} there.  So <L_i L_j nu, nu> is rho_p = <L_p nu, nu>
+    at the basis path p = ij, whose index is ``left`` applied letter by letter.
+    rho is taken for every path of grading <= 2 budget, grade by grade: with
+    p = q e, e its last letter, the row Y_p = conj(L_p^T nu) on p's prefix is
+    Y_q gathered along e's row of ``left``, and rho_p is Y_p times nu's prefix.
 
     The residual is rounding noise: another summation order in the products,
     or a complex multiply on a view instead of a fresh array, would change its
@@ -381,31 +381,30 @@ def multiplicativity_check(fock, alpha, grading_budget: int = 3,
         raise BudgetError(f"a multiplicativity matrix of {n_words} x {fock.dimension} "
                           f"entries is over {MAX_CHECK_ENTRIES}")
 
-    vec = omega_vector(fock, conjugate_point(point))
+    vec = np.conj(omega_vector(fock, point) if omega is None else omega)
     vec = vec / np.linalg.norm(vec)
 
     N = fock.trunc
     words = fock.basis[:n_words]
     parent, lead = fock.parent_links()
-    conj = np.conj(vec)
-    grades = fock._grades[:min(grading_budget, N) + 1]
-    # per grading a, the maps of its words on the prefix of grading <= N - a, one row each
-    maps = [np.arange(fock.dimension)[None]]
+    grades = fock._grades[:min(2 * grading_budget, N) + 1]
+    Y = np.conj(vec)[None]  # the rows of the last grade, each on its prefix
+    rho = [Y @ vec]
     for a, (lo, hi) in enumerate(grades[1:], 1):
-        up = parent[lo:hi] - grades[a - 1][0]
-        maps.append(fock.left[lead[lo:hi, None], maps[-1][up, :fock._prefix_end(N - a)]])
-    rho = np.empty(n_words, dtype=complex)
-    pair = np.empty((n_words, n_words), dtype=complex)  # pair[i, j] = <L_i L_j nu, nu>
-    for a, (lo, hi) in enumerate(grades):
-        Y = conj[maps[a]]
-        rho[lo:hi] = Y @ vec[:Y.shape[1]]
-        if not a:
-            continue
-        for b, (start, _) in enumerate(grades):
-            n = fock._prefix_end(N - a - b)
-            for j, img in enumerate(maps[b], start):
-                pair[lo:hi, j] = Y[:, img[:n]] @ vec[:n]
-    pair[0] = rho
+        up = parent[lo:hi] - grades[a - 1][0]  # p = lead q' e, with q' e the parent
+        q, e = (parent[lo:hi], lead[lo:hi]) if a == 1 else (fock.left[lead[lo:hi], q[up]], e[up])
+        n = fock._prefix_end(N - a)
+        flat = fock.left[e, :n]  # Y_p is Y_q along e's row: Y's flat entries to gather
+        flat += ((q - grades[a - 1][0]) * Y.shape[1])[:, None]
+        Y = Y.ravel().take(flat)
+        rho.append(Y @ vec[:n])
+    rho = np.append(np.concatenate(rho), 0)  # -1, i j past the truncation, reads 0
+    at = np.empty((n_words, n_words), dtype=np.int64)  # at[i, j]: index of i j, or -1
+    at[0] = np.arange(n_words)
+    for lo, hi in grades[1:grading_budget + 1]:
+        at[lo:hi] = fock.left[lead[lo:hi, None], at[parent[lo:hi]]]
+    pair = rho[at]  # pair[i, j] = <L_i L_j nu, nu>; row 0 is rho, as L_v is the identity
+    rho = rho[:n_words]
     resid = np.abs(pair - np.outer(rho, rho))
     worst = float(resid.max())
     wi, wj = np.unravel_index(int(resid.argmax()), resid.shape)

@@ -785,44 +785,43 @@ def oracle_radical_check(g, space, word_grading=2, ideal_grading=None):
 
 
 def oracle_multiplicativity_check(space, alpha, grading_budget=3, tol=1e-9):
-    """``gelfand.multiplicativity_check`` with L nu and L^T nu as sparse
-    matrix-vector products, and each word's map read off its matrix instead
-    of the ``left`` table.
+    """``gelfand.multiplicativity_check`` with L^T nu as sparse matrix-vector
+    products, and each path's map read off its matrix instead of the ``left``
+    table.
 
     The sums are grouped as the library groups them, on purpose: the residual
     is rounding noise, so any other order would move its digits and the
-    reports could not be compared exactly.  Per grading a, the rows
-    conj(L_i^T nu) of its words on their common prefix form one matrix Y;
-    rho is Y times nu's prefix, and <L_i L_j nu, nu> is Y gathered along L_j's
-    map on the columns where L_i L_j is defined, times L_j nu read along that
-    map (nu's prefix again).  ``test_character_checks_match_closed_form``
+    reports could not be compared exactly.  For every path p of grading <=
+    2 budget, per grading a, the rows conj(L_p^T nu) on their common prefix
+    form one matrix Y, and rho is Y times nu's prefix.  <L_i L_j nu, nu> is
+    rho at the index that L_i's matrix gives column j (0 where it has none),
+    as L_i L_j = L_{ij} at one vertex.  ``test_character_checks_match_closed_form``
     bounds the digits independently of any grouping."""
     g = space.graph
     point = gelfand.as_point(g, alpha)
     vec = gelfand.omega_vector(space, gelfand.conjugate_point(point))
     vec = vec / np.linalg.norm(vec)
-    words = [space.basis[i] for i in np.flatnonzero(space.deltas <= grading_budget)]
-    maps, nus, rows = [], [], []
-    for p in words:
+    paths = [space.basis[i] for i in np.flatnonzero(space.deltas <= 2 * grading_budget)]
+    words = [p for p in paths if p.delta <= grading_budget]
+    maps, rows = [], []
+    for p in paths:
         m = fock.left_op(space, p).matrix.tocsc()
         defined = np.flatnonzero(np.diff(m.indptr))  # a prefix at one vertex
         assert np.array_equal(defined, np.arange(len(defined)))
         maps.append(m.indices)  # L_p xi_k = xi_{maps[k]}
-        nus.append((m @ vec)[m.indices])  # L_p nu read along the map
         rows.append(np.conj(m.T @ vec)[:len(defined)])  # conj(L_p^T nu) on the prefix
-    grading = np.array([p.delta for p in words])
-    rho = np.empty(len(words), dtype=complex)
-    pair = np.empty((len(words), len(words)), dtype=complex)
+    grading = np.array([p.delta for p in paths])
+    rho = np.zeros(len(paths) + 1, dtype=complex)  # the last entry stays 0
     for a in np.unique(grading):
         at = np.flatnonzero(grading == a)
         Y = np.array([rows[i] for i in at])
-        rho[at] = Y @ nus[0][:Y.shape[1]]
-        if not a:
-            continue
-        for j in range(len(words)):
-            n = np.count_nonzero(maps[j] < Y.shape[1])  # where L_i L_j is defined
-            pair[at, j] = Y[:, maps[j][:n]] @ nus[j][:n]
-    pair[0] = rho  # L_v is the identity at one vertex
+        rho[at] = Y @ vec[:Y.shape[1]]
+    at = np.full((len(words), len(words)), -1)  # at[i, j]: the row of L_i's column j
+    for i in range(len(words)):
+        col = maps[i][:len(words)]
+        at[i, :len(col)] = col
+    pair = rho[at]  # pair[i, j] = <L_i L_j nu, nu>
+    rho = rho[:len(words)]
     resid = np.abs(pair - np.outer(rho, rho))
     worst = float(resid.max())
     wi, wj = np.unravel_index(int(resid.argmax()), resid.shape)

@@ -9,6 +9,7 @@ from conftest import (
     identity_op,
     oracle_closed_form_character,
     oracle_degree_class_eigen_residual,
+    oracle_multiplicativity_check,
 )
 from kfock import builders, fock, gelfand
 from kfock.errors import BudgetError, DomainError, KFockError, UnsupportedGraphError
@@ -162,8 +163,15 @@ def test_eigen_grouped_matches_dense_at_larger_truncation(sv22_cyclic):
 
 def test_checks_given_omega_match_checks_that_build_it(sv22_cyclic, sv22_fock):
     """A caller's omega_vector gives the same values as the checks' own
-    build, and a grouped eigen residual (no space) refuses one."""
-    for pt in gelfand.sample_variety_points(sv22_cyclic, 3, seed=5, max_norm=0.4):
+    build, and a grouped eigen residual (no space) refuses one.  The
+    multiplicativity check conjugates omega(alpha); its whole report is the
+    oracle's, which builds omega(conj alpha), on and off the variety."""
+    points = gelfand.sample_variety_points(sv22_cyclic, 3, seed=5, max_norm=0.4)
+    for pt in points + [((0.3, 0.1), (0.05j, 0.2))]:  # the last is off the variety
+        omega = gelfand.omega_vector(sv22_fock, pt)
+        assert (gelfand.multiplicativity_check(sv22_fock, pt, grading_budget=2, omega=omega)
+                == oracle_multiplicativity_check(sv22_fock, pt, grading_budget=2))
+    for pt in points:
         omega = gelfand.omega_vector(sv22_fock, pt)
         assert (gelfand.omega_norm_check(sv22_fock, pt, omega=omega)
                 == gelfand.omega_norm_check(sv22_fock, pt))
@@ -299,6 +307,26 @@ def test_multiplicativity_forms_no_words_by_dimension_matrix(sv22_cyclic):
         tracemalloc.stop()
     assert (rep["wordCount"], space.dimension) == (49, 20_481)
     assert peak < 49 * 20_481 * 16
+
+
+@pytest.mark.parametrize("trunc", [3, 5])
+@pytest.mark.parametrize("tokens", [["2", "2", "cyclic"], ["2", "3", "seed:4"],
+                                    ["2", "2", "1", "seed:1"]])
+def test_word_products_are_the_composite_path_operator(tokens, trunc):
+    """At one vertex L_i L_j = L_{ij} on the truncated space, the identity the
+    multiplicativity check reads its pair products by: for every two words of
+    grading <= 3, the composed maps of L_i and L_j are the map of the joined
+    word, and empty where its grading is past the truncation."""
+    g = builders.builtin_graph(["single-vertex", *tokens])
+    space = fock.TruncatedFock(g, trunc)
+    words = [p for p in space.basis if p.delta <= 3]
+    maps = [fock.image(fock.left_op(space, p)) for p in words]
+    for i, img_i in zip(words, maps):
+        for j, img_j in zip(words, maps):
+            got = img_i[img_j]
+            want = fock.image(fock.word_op(space, i.word + j.word, base=i.src))
+            assert np.array_equal(got, want), (i, j)
+            assert (got >= 0).any() == (i.delta + j.delta <= trunc), (i, j)
 
 
 def test_character_object(sv22_cyclic, sv22_fock):
