@@ -36,7 +36,8 @@ read the rows of ``left`` and each right generator's map (``image``), one at a
 time.  Gradings only grow along a word, so images beyond the truncation never
 come back and identities between words of the generators hold exactly (integer
 arithmetic) on the interior block {delta <= N - g}, where g bounds the grading
-of the words involved.  Floating point enters only through scalar coefficients
+of the words involved: the basis prefix of ``prefix(N - g)`` paths, read as a
+slice.  Floating point enters only through scalar coefficients
 (Cesaro weights, user combinations).  Wherever the edge maps are injective,
 distinct paths of one degree have orthogonal ranges exactly when distinct edges
 of one colour do, so range orthogonality is one bincount per colour over the
@@ -123,8 +124,9 @@ class TruncatedFock:
     so matrices are reproducible across runs.  It is held as integer arrays
     over basis indices: ``parent_links()``, ``ends`` and ``deltas``, and in
     ``blocks`` the (start, stop) run of each degree that holds a path, in
-    basis order.  ``basis`` rebuilds a ``Path`` on each access.  Construction
-    assumes the graph has been validated; a basis of more than
+    basis order.  ``prefix(t)`` counts the paths of grading <= t, the first
+    ones of the basis.  ``basis`` rebuilds a ``Path`` on each access.
+    Construction assumes the graph has been validated; a basis of more than
     ``MAX_DIMENSION`` paths raises ``BudgetError`` before the grade that
     passes the cap is allocated.  ``left`` is the edge-action table of the
     module docstring, rows in ``edge_codes`` order; each R_b is built from it.
@@ -208,15 +210,9 @@ class TruncatedFock:
             raise DomainError(f"{path!r} is not a basis path of this space")
         return i
 
-    def grade_indices(self, t: int) -> np.ndarray:
-        return np.arange(self._prefix_end(t - 1), self._prefix_end(t))  # empty past the last grade
-
-    def interior_indices(self, margin: int) -> np.ndarray:
-        """Indices of grading <= N - margin: a prefix, as the basis is sorted by grading."""
-        return np.arange(self._prefix_end(self.trunc - margin))
-
-    def _prefix_end(self, t: int) -> int:
-        """Number of basis paths of grading <= t."""
+    def prefix(self, t: int) -> int:
+        """Number of basis paths of grading <= t (0 for t < 0).  The basis is
+        sorted by grading, so they are ``basis[:prefix(t)]``."""
         return self._grades[min(t, len(self._grades) - 1)][1] if t >= 0 else 0
 
     def generator_paths(self):
@@ -336,13 +332,10 @@ class SparseOperator:
     def adjoint(self):
         return SparseOperator(self.space, self.matrix.conj().T.tocsr())
 
-    def max_abs(self):
-        return np.abs(self.matrix.data).max(initial=0)
-
     def max_abs_interior(self, margin: int):
         """Largest entry of the compression to the block {delta <= N - margin}."""
-        idx = self.space.interior_indices(margin)
-        return np.abs(self.matrix[idx][:, idx].data).max(initial=0)
+        n = self.space.prefix(self.space.trunc - margin)
+        return np.abs(self.matrix[:n, :n].data).max(initial=0)
 
     def __repr__(self):
         return f"SparseOperator(dim={self.space.dimension}, nnz={self.nnz})"
@@ -514,14 +507,14 @@ def commutant_residual(fock: TruncatedFock):
     One pass per right generator b tests every left one against R_b at once:
     L_v keeps the columns of range v, L_a is row a of ``left``, and where R_b
     is undefined so is L_a R_b, so R_b L_a must be too."""
-    left, dst = fock.left, fock.ends[1]
+    left, dst, N = fock.left, fock.ends[1], fock.trunc
     # the defined entries (a, c) of left on the blocks of margin 2 |b| + 2 (prefixes: views)
-    entries = {m: np.nonzero(left[:, :len(fock.interior_indices(m))] >= 0) for m in (2, 4)}
+    entries = {m: np.nonzero(left[:, :fock.prefix(N - m)] >= 0) for m in (2, 4)}
     for b in fock.generator_paths():
         rb = image(right_op(fock, b))
-        got = rb[fock.interior_indices(2 * b.delta)]  # the block of the pairs (L_v, R_b)
+        got = rb[:fock.prefix(N - 2 * b.delta)]  # the block of the pairs (L_v, R_b)
         kept = np.flatnonzero(got >= 0)
-        cols = np.flatnonzero(rb[fock.interior_indices(2 * b.delta + 2)] >= 0)
+        cols = np.flatnonzero(rb[:fock.prefix(N - 2 * b.delta - 2)] >= 0)
         a, c = entries[2 * b.delta + 2]
         if ((dst[got[kept]] != dst[kept]).any() or (left[:, rb[cols]] != rb[left[:, cols]]).any()
                 or ((rb[c] < 0) & (rb[left[a, c]] >= 0)).any()):
@@ -534,7 +527,7 @@ def partial_isometry_residual(fock: TruncatedFock):
     on a valid graph.  On {delta <= N - 1}, a prefix of the basis, it is 1
     when a row of ``left`` is defined on other columns than those of range
     s(e) or repeats an image; the whole block is read in one pass."""
-    block = fock.left[:, :len(fock.interior_indices(1))]  # a view, not a copy
+    block = fock.left[:, :fock.prefix(fock.trunc - 1)]  # a view, not a copy
     defined = block >= 0
     e, c = np.nonzero(defined)
     hit = e * fock.left.shape[1] + block[e, c]  # (row, image) pairs as keys
@@ -617,7 +610,7 @@ def orthogonal_isometries(g: KGraph, fock: TruncatedFock, witness=None):
     img_u, img_v = image(U), image(V)
     orth = int(np.isin(img_v[img_v >= 0], img_u).any())
     margin_u = max(t.delta for t in terms_u)
-    interior = img_u[fock.interior_indices(margin_u)]
+    interior = img_u[:fock.prefix(fock.trunc - margin_u)]
     isom = int((interior < 0).any() or len(np.unique(interior)) < len(interior))
     report = {
         "vertex": witness.vertex,

@@ -182,8 +182,9 @@ def omega_vector(fock, alpha) -> np.ndarray:
     coords = np.array([coord[e.id] for e in g.edges], dtype=complex)
     parent, lead = fock.parent_links()
     vals = np.zeros(fock.dimension, dtype=complex)
-    vals[:fock._grades[0][1]] = 1.0
-    for a, b in fock._grades[1:]:
+    vals[:fock.prefix(0)] = 1.0
+    for t in range(1, int(fock.deltas[-1]) + 1):
+        a, b = fock.prefix(t - 1), fock.prefix(t)
         vals[a:b] = coords[lead[a:b]] * vals[parent[a:b]]
     return vals
 
@@ -289,7 +290,7 @@ def eigen_residual(g: KGraph, edge_id: str, alpha, trunc: int, fock=None,
         point = tuple(part[:1] if len(part) else np.zeros(1, dtype=complex) for part in point)
         edge_id = f"e{e.color}_1"
     vec = omega_vector(fock, point) if omega is None else omega
-    n = len(fock.interior_indices(1))
+    n = fock.prefix(fock.trunc - 1)
     # (L_e* omega)_i = omega at the index of e xi_i
     adj = vec[fock.left[fock.edge_codes[edge_id], :n]]
     return float(np.abs(adj - coord * vec[:n].copy()).max(initial=0.0))
@@ -314,20 +315,9 @@ class Character:
     def on_word(self, word) -> complex:
         return evaluate_word(self.graph, self.point, word)
 
-    def generator_values(self) -> dict:
-        coords = _coord_map(self.graph, self.point)
-        return dict(sorted(coords.items()))
-
     @property
     def is_vector_functional(self) -> bool:
         return self.vector is not None
-
-    def on_operator(self, op) -> complex:
-        if self.vector is None:
-            raise DomainError(
-                "boundary characters act on words only; no vector realization"
-            )
-        return complex(np.vdot(self.vector, op.matrix @ self.vector))
 
 
 def character(g: KGraph, alpha, fock=None) -> Character:
@@ -376,7 +366,7 @@ def multiplicativity_check(fock, alpha, grading_budget: int = 3,
     g = fock.graph
     point = as_point(g, alpha)
     _check_interior(g, point)
-    n_words = fock._prefix_end(grading_budget)
+    n_words = fock.prefix(grading_budget)
     if n_words * fock.dimension > MAX_CHECK_ENTRIES:
         raise BudgetError(f"a multiplicativity matrix of {n_words} x {fock.dimension} "
                           f"entries is over {MAX_CHECK_ENTRIES}")
@@ -387,21 +377,23 @@ def multiplicativity_check(fock, alpha, grading_budget: int = 3,
     N = fock.trunc
     words = fock.basis[:n_words]
     parent, lead = fock.parent_links()
-    grades = fock._grades[:min(2 * grading_budget, N) + 1]
+    top = min(2 * grading_budget, int(fock.deltas[-1]))  # the last grade to read
     Y = np.conj(vec)[None]  # the rows of the last grade, each on its prefix
     rho = [Y @ vec]
-    for a, (lo, hi) in enumerate(grades[1:], 1):
-        up = parent[lo:hi] - grades[a - 1][0]  # p = lead q' e, with q' e the parent
+    for a in range(1, top + 1):
+        start, lo, hi = fock.prefix(a - 2), fock.prefix(a - 1), fock.prefix(a)
+        up = parent[lo:hi] - start  # p = lead q' e, with q' e the parent
         q, e = (parent[lo:hi], lead[lo:hi]) if a == 1 else (fock.left[lead[lo:hi], q[up]], e[up])
-        n = fock._prefix_end(N - a)
+        n = fock.prefix(N - a)
         flat = fock.left[e, :n]  # Y_p is Y_q along e's row: Y's flat entries to gather
-        flat += ((q - grades[a - 1][0]) * Y.shape[1])[:, None]
+        flat += ((q - start) * Y.shape[1])[:, None]
         Y = Y.ravel().take(flat)
         rho.append(Y @ vec[:n])
     rho = np.append(np.concatenate(rho), 0)  # -1, i j past the truncation, reads 0
     at = np.empty((n_words, n_words), dtype=np.int64)  # at[i, j]: index of i j, or -1
     at[0] = np.arange(n_words)
-    for lo, hi in grades[1:grading_budget + 1]:
+    for t in range(1, min(grading_budget, top) + 1):
+        lo, hi = fock.prefix(t - 1), fock.prefix(t)
         at[lo:hi] = fock.left[lead[lo:hi, None], at[parent[lo:hi]]]
     pair = rho[at]  # pair[i, j] = <L_i L_j nu, nu>; row 0 is rho, as L_v is the identity
     rho = rho[:n_words]

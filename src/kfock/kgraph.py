@@ -78,9 +78,6 @@ class Path:
     def is_identity(self) -> bool:
         return not self.word
 
-    def sort_key(self):
-        return (self.delta, self.degree, self.word, self.src)
-
     def __repr__(self):
         body = " ".join(self.word) if self.word else f"({self.src})"
         return f"<{body}: {self.src}->{self.dst} d={self.degree}>"
@@ -328,8 +325,9 @@ class KGraph:
         return out
 
     def all_paths_up_to(self, max_grading: int):
-        """All canonical paths with grading at most ``max_grading``, in
-        ``Path.sort_key`` order (reversed ``degree_vectors`` is ascending).
+        """All canonical paths with grading at most ``max_grading``, sorted by
+        grading, then degree, then word, then source (reversed
+        ``degree_vectors`` is ascending).
         A path of grading t + 1 strips to one of grading t, so the grades
         stop at the first empty one."""
         grades = ([p for n in reversed(tuple(degree_vectors(self.k, t)))

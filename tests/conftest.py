@@ -23,6 +23,7 @@ only tests need, from the library's public API.
 
 import itertools
 import math
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -42,7 +43,6 @@ from kfock.kgraph import (
     CommutationSquare,
     Edge,
     KGraph,
-    Path,
     ValidationReport,
     degree_vectors,
     validate,
@@ -92,10 +92,33 @@ def identity_op(space):
     return SparseOperator(space, sp.identity(space.dimension, dtype=np.int64, format="csr"))
 
 
+def max_abs(op):
+    """Largest absolute entry of an operator's matrix, 0 when it has none."""
+    return np.abs(op.matrix.data).max(initial=0)
+
+
+def sort_key(path):
+    """The basis order: grading, then degree, then word, then source."""
+    return (path.delta, path.degree, path.word, path.src)
+
+
+def generator_values(chi):
+    """Edge id -> a character's coordinate on that edge, in id order."""
+    return dict(sorted(gelfand._coord_map(chi.graph, chi.point).items()))
+
+
+def on_operator(chi, op):
+    """<A nu, nu> for a character's normalized vector nu; a boundary
+    character has no vector and raises ``DomainError``."""
+    if chi.vector is None:
+        raise DomainError("boundary characters act on words only; no vector realization")
+    return complex(np.vdot(chi.vector, op.matrix @ chi.vector))
+
+
 def grading_projection(space, t):
     """E_t: the diagonal projection onto the grade-t slice of the basis."""
     diag = np.zeros(space.dimension, dtype=np.int64)
-    diag[space.grade_indices(t)] = 1
+    diag[space.prefix(t - 1):space.prefix(t)] = 1
     return SparseOperator(space, sp.diags(diag, format="csr", dtype=np.int64))
 
 
@@ -685,9 +708,9 @@ def oracle_orthogonal_isometries(g, space, witness=None):
     U, terms_u = build(1)
     V, terms_v = build(2)
     margin_u = max(t.delta for t in terms_u)
-    orth = (U.adjoint() @ V).max_abs()
+    orth = max_abs(U.adjoint() @ V)
     isom = (U.adjoint() @ U - identity_op(space)).max_abs_interior(margin_u)
-    block_dim = len(space.interior_indices(margin_u))
+    block_dim = space.prefix(space.trunc - margin_u)
     report = {
         "vertex": witness.vertex,
         "color": witness.color,
@@ -745,7 +768,7 @@ def oracle_radical_check(g, space, word_grading=2, ideal_grading=None):
         L = fock.left_op(space, eid)
         for p in gen_words:
             M = fock.left_op(space, p) @ L
-            if (M @ M).max_abs() != 0:
+            if max_abs(M @ M) != 0:
                 report["squareZeroFailures"].append({"edge": eid, "word": list(p.word) or [p.src]})
             report["squareZeroChecked"] += 1
 
@@ -755,7 +778,7 @@ def oracle_radical_check(g, space, word_grading=2, ideal_grading=None):
         {g.normal_form(mu.word + (eid,) + nu.word)
          for eid in nc for nu in shorter if nu.dst == g.edge(eid).src
          for mu in shorter if mu.src == g.edge(eid).dst and mu.delta + nu.delta < budget},
-        key=Path.sort_key,
+        key=sort_key,
     )
     report["idealWords"] = len(ideal_paths)
     if len(ideal_paths) ** n > MAX_PRODUCTS:
@@ -765,7 +788,7 @@ def oracle_radical_check(g, space, word_grading=2, ideal_grading=None):
     def descend(prefix_words, mat, depth):
         if depth == n:
             report["nFoldChecked"] += 1
-            if mat.max_abs() != 0:
+            if max_abs(mat) != 0:
                 report["nFoldFailures"].append([list(w.word) for w in prefix_words])
             return
         for p, op in ops:
@@ -784,6 +807,21 @@ def oracle_radical_check(g, space, word_grading=2, ideal_grading=None):
     return report
 
 
+_PATH_MATRICES = weakref.WeakKeyDictionary()  # space -> {path: (L_p as CSC, defined columns)}
+
+
+def _path_matrix(space, p):
+    """L_p's CSC matrix and the number of columns it is defined on, a
+    prefix at one vertex; built once per space and path."""
+    built = _PATH_MATRICES.setdefault(space, {})
+    if p not in built:
+        m = fock.left_op(space, p).matrix.tocsc()
+        defined = np.flatnonzero(np.diff(m.indptr))
+        assert np.array_equal(defined, np.arange(len(defined)))
+        built[p] = m, len(defined)
+    return built[p]
+
+
 def oracle_multiplicativity_check(space, alpha, grading_budget=3, tol=1e-9):
     """``gelfand.multiplicativity_check`` with L^T nu as sparse matrix-vector
     products, and each path's map read off its matrix instead of the ``left``
@@ -796,7 +834,8 @@ def oracle_multiplicativity_check(space, alpha, grading_budget=3, tol=1e-9):
     form one matrix Y, and rho is Y times nu's prefix.  <L_i L_j nu, nu> is
     rho at the index that L_i's matrix gives column j (0 where it has none),
     as L_i L_j = L_{ij} at one vertex.  ``test_character_checks_match_closed_form``
-    bounds the digits independently of any grouping."""
+    bounds the digits independently of any grouping.  The path matrices
+    depend on the space alone, so each is built once per space."""
     g = space.graph
     point = gelfand.as_point(g, alpha)
     vec = gelfand.omega_vector(space, gelfand.conjugate_point(point))
@@ -805,11 +844,9 @@ def oracle_multiplicativity_check(space, alpha, grading_budget=3, tol=1e-9):
     words = [p for p in paths if p.delta <= grading_budget]
     maps, rows = [], []
     for p in paths:
-        m = fock.left_op(space, p).matrix.tocsc()
-        defined = np.flatnonzero(np.diff(m.indptr))  # a prefix at one vertex
-        assert np.array_equal(defined, np.arange(len(defined)))
+        m, defined = _path_matrix(space, p)
         maps.append(m.indices)  # L_p xi_k = xi_{maps[k]}
-        rows.append(np.conj(m.T @ vec)[:len(defined)])  # conj(L_p^T nu) on the prefix
+        rows.append(np.conj(m.T @ vec)[:defined])  # conj(L_p^T nu) on the prefix
     grading = np.array([p.delta for p in paths])
     rho = np.zeros(len(paths) + 1, dtype=complex)  # the last entry stays 0
     for a in np.unique(grading):

@@ -50,7 +50,7 @@ def test_arrays_agree_with_enumeration(name, g):
         assert all(start < stop for start, stop in space.blocks.values())  # only degrees with paths
         assert space.basis[-1] == paths[-1]
     if name == "chain 4":
-        assert len(space.grade_indices(4)) == 0
+        assert space.prefix(4) == space.prefix(3)  # grade 4 is empty
         assert (2, 2) not in space.blocks
 
 
@@ -68,8 +68,7 @@ def test_basis_build_stops_where_the_paths_stop():
     # chain 3 has no path longer than 2, while grades 0..1,000 hold 501,501 degree vectors
     space = fock.TruncatedFock(builders.chain(3), 1000)
     assert space.dimension == 10 and len(space.blocks) <= 30
-    assert len(space.grade_indices(3)) == len(space.grade_indices(1000)) == 0
-    assert np.array_equal(space.interior_indices(998), np.arange(10))
+    assert space.prefix(2) == space.prefix(1000) == 10  # grades 3 to 1,000 are empty
     assert fock.commutant_residual(space) == 0
 
 
@@ -86,12 +85,13 @@ def test_basis_build_tries_only_degrees_that_extend_a_path():
 
 @pytest.mark.parametrize("name,g", _array_graphs(), ids=[n for n, _ in _array_graphs()])
 def test_interior_indices_are_the_grading_prefix(name, g):
+    """``prefix(t)`` counts the paths of grading <= t, and they come first."""
     for trunc in range(6):
         space = fock.TruncatedFock(g, trunc)
-        for margin in range(trunc + 2):
-            got = space.interior_indices(margin)
-            want = np.flatnonzero(space.deltas <= trunc - margin)
-            assert got.dtype == want.dtype and np.array_equal(got, want), (trunc, margin)
+        for t in range(-1, trunc + 2):
+            n = space.prefix(t)
+            assert type(n) is int and n == np.count_nonzero(space.deltas <= t), (trunc, t)
+            assert (space.deltas[:n] <= t).all(), (trunc, t)
 
 
 def test_index_of_refuses_paths_outside_the_basis(cycle32):

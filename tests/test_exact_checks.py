@@ -83,7 +83,7 @@ def test_residuals_of_corrupted_tables_match_sparse_product_oracles(monkeypatch)
         space = fock.TruncatedFock(graphs[trial % len(graphs)], 4)
         which = ("left", "right")[int(rng.integers(2))]
         table = space.left.copy() if which == "left" else _right_maps(space)
-        t = rng.choice(np.unique(space.deltas[space.interior_indices(1)]))
+        t = rng.choice(np.unique(space.deltas[:space.prefix(space.trunc - 1)]))
         e, c = int(rng.integers(len(table))), int(rng.choice(np.flatnonzero(space.deltas == t)))
         above = np.flatnonzero(space.deltas == t + 1)
         table[e, c] = rng.choice(above) if len(above) and rng.random() < 0.5 else -1
@@ -106,7 +106,7 @@ def test_commutant_sees_corruptions_only_one_comparison_can(grading, monkeypatch
     vertex projections, since the edge-pair block stops at grading 0."""
     space = fock.TruncatedFock(builders.cycle_rank(3, 2), 4)
     right, dst = _right_maps(space), space.ends[1]
-    c = space.grade_indices(grading)[0]
+    c = space.prefix(grading - 1)  # the first path of the grade
     b = np.flatnonzero(right[:, c] >= 0)[0]
     moved = np.flatnonzero((space.deltas == grading + 1) & (dst != dst[c]))
     right[b, c] = moved[0] if grading else -1

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import (
+    generator_values,
     identity_op,
+    on_operator,
     oracle_closed_form_character,
     oracle_degree_class_eigen_residual,
     oracle_multiplicativity_check,
@@ -336,10 +338,10 @@ def test_character_object(sv22_cyclic, sv22_fock):
     assert chi.on_word(()) == 1.0
     e = sv22_cyclic.edges[0]
     op = fock.left_op(sv22_fock, e.id)
-    coords = chi.generator_values()
-    assert abs(chi.on_operator(op) - coords[e.id]) < 1e-6
+    coords = generator_values(chi)
+    assert abs(on_operator(chi, op) - coords[e.id]) < 1e-6
     # rho(identity operator) is exactly 1 for the normalized vector
-    assert abs(chi.on_operator(identity_op(sv22_fock)) - 1.0) < 1e-12
+    assert abs(on_operator(chi, identity_op(sv22_fock)) - 1.0) < 1e-12
 
 
 def test_character_boundary_is_formal(sv22_cyclic, sv22_fock):
@@ -350,7 +352,7 @@ def test_character_boundary_is_formal(sv22_cyclic, sv22_fock):
     word = ("e1_1", "e2_1")
     assert chi.on_word(word) == pytest.approx(t * 0.1)
     with pytest.raises(DomainError, match="words only"):
-        chi.on_operator(identity_op(sv22_fock))
+        on_operator(chi, identity_op(sv22_fock))
 
 
 def test_character_rejects_off_variety(sv22_cyclic, sv22_fock):
