@@ -25,6 +25,10 @@ at most ``MAX_TABLE_ENTRIES`` entries:
 * otherwise the square (e, lead(i)) -> (a, b) rewrites the front pair, and
   ``left[e, i] = left[a, left[b, parent(i)]]``, a colour-sorted entry.
 
+The edges swapped in front of a column are the out-edges of r(f) of colour >
+colour(f), f its lead letter, so the squares are looked up once per lead and
+each grade's swap pairs are its columns expanded by their leads' runs.
+
 The factorization property makes these the normal forms of the composed
 words.  A creation operator of a path is the chain of gathers along its word:
 a 0/1 operator with at most one entry per column that holds its column -> row
@@ -343,48 +347,50 @@ class SparseOperator:
 
 def _left_table(fock: TruncatedFock) -> np.ndarray:
     """The recursion of the module docstring, one grade at a time, in place:
-    a swapped entry reads colour-sorted ones, which no swap overwrites."""
+    a swapped entry reads colour-sorted ones, which no swap overwrites.  Each
+    lead f has a run of (e, a, b) triples; a grade's pairs expand its columns."""
     g = fock.graph
     edges = g.edges
     code = fock.edge_codes
-    color = fock._edge_arrays[0]
+    color, esrc, edst = fock._edge_arrays
     parent, lead = fock.parent_links()
     if len(edges) * (fock.dimension + 1) > MAX_TABLE_ENTRIES:
         raise BudgetError(f"an edge-action table of {len(edges)} x {fock.dimension + 1} "
                           f"entries is over {MAX_TABLE_ENTRIES}")
     left = np.full((len(edges), fock.dimension + 1), -1, dtype=np.int64)
-    nz = np.flatnonzero(parent >= 0)
-    left[lead[nz], parent[nz]] = nz
+    n0 = fock.prefix(0)  # the identities, with parent -1, come first
+    left[lead[n0:], parent[n0:]] = np.arange(n0, fock.dimension)
     # squares as rows (e, f, a, b) for (e, f) -> (a, b), looked up by the sorted keys e |E| + f
     sq = np.array([[code[x] for x in s.rhs + s.lhs] for s in g.squares], np.int64).reshape(-1, 4)
     keys, first = np.unique(sq[:, 0] * len(edges) + sq[:, 1], return_index=True)  # the first wins
     keys = np.append(keys, len(edges) ** 2)  # a key past every pair's, for pairs with no square
     sides = np.append(sq[first, 2:], [[-1, -1]], axis=0)
-    # the pairs (e, i) to swap, colour(e) > colour(lead(i)) and s(e) = r(xi_i): the
-    # out-edges of r(xi_i) of colour > colour(lead(i)), the end of its run in `out`
+    # the run of lead f: the out-edges e of r(f) of colour > colour(f), the end of its run in `out`
     out, bound = fock._runs
-    v = fock.ends[1][nz] * g.k
-    j, at = _expand(bound[v + color[lead[nz]]], bound[v + g.k])
-    es, cols, f = out[at], nz[j], lead[nz][j]
+    lo, hi = bound[edst * g.k + color], bound[edst * g.k + g.k]
+    runs = np.append(0, np.cumsum(hi - lo))
+    f, at = _expand(lo, hi)
+    es = out[at]
     pair = es * len(edges) + f
     at = np.searchsorted(keys, pair)
     a, b = sides[np.where(keys[at] == pair, at, -1)].T
-    # an error names its first witness in (edge, column) order, as np.nonzero of a mask
-    if (a < 0).any():  # every composable pair meets a grade-1 column: no fault comes before
-        w = min(np.flatnonzero(a < 0), key=lambda i: (es[i], cols[i]))
+    # an error names its first witness in (edge, column) order, as np.nonzero of a mask:
+    col = left[np.arange(len(edges)), esrc][f]  # a pair's first column, its lead's (none at N = 0)
+    if ((a < 0) & (col >= 0)).any():
+        w = min(np.flatnonzero((a < 0) & (col >= 0)), key=lambda i: (es[i], col[i]))
         raise MalformedGraphError(f"no square for adjacent pair ({edges[es[w]].id}, {edges[f[w]].id})")
-    bounds = np.searchsorted(cols, [stop for _, stop in fock._grades])
-    for t in range(1, len(fock._grades)):
-        s = slice(bounds[t - 1], bounds[t])
-        mid = left[b[s], parent[cols[s]]]
-        got = left[a[s], mid]
+    for t, (start, stop) in enumerate(fock._grades[1:], start=1):
+        cols, at = _expand(runs[lead[start:stop]], runs[lead[start:stop] + 1])
+        cols += start  # in place: the largest grade's pairs set the build's peak
+        mid = left[b[at], parent[cols]]
+        got = left[a[at], mid]
         broken = (mid < 0) | ((got < 0) & (t < fock.trunc))
         if broken.any():
-            w = min(s.start + np.flatnonzero(broken), key=lambda i: (es[i], cols[i]))
+            w = at[min(np.flatnonzero(broken), key=lambda i: (es[at[i]], cols[i]))]
             raise MalformedGraphError(
                 f"square ({edges[a[w]].id}, {edges[b[w]].id}) = "
                 f"({edges[es[w]].id}, {edges[f[w]].id}) has broken endpoints")
-        left[es[s], cols[s]] = got
+        left[es[at], cols] = got
     return left
 
 
@@ -530,10 +536,10 @@ def partial_isometry_residual(fock: TruncatedFock):
     block = fock.left[:, :fock.prefix(fock.trunc - 1)]  # a view, not a copy
     defined = block >= 0
     e, c = np.nonzero(defined)
-    hit = e * fock.left.shape[1] + block[e, c]  # (row, image) pairs as keys
+    hit = np.sort(e * fock.left.shape[1] + block[e, c])  # (row, image) pairs as keys, sorted
     esrc = fock._edge_arrays[1]
     return int((defined != (esrc[:, None] == fock.ends[1][:block.shape[1]])).any()
-               or len(np.unique(hit)) < len(hit))
+               or (hit[1:] == hit[:-1]).any())
 
 
 def same_degree_range_conflicts(fock: TruncatedFock):
@@ -611,7 +617,7 @@ def orthogonal_isometries(g: KGraph, fock: TruncatedFock, witness=None):
     orth = int(np.isin(img_v[img_v >= 0], img_u).any())
     margin_u = max(t.delta for t in terms_u)
     interior = img_u[:fock.prefix(fock.trunc - margin_u)]
-    isom = int((interior < 0).any() or len(np.unique(interior)) < len(interior))
+    isom = int((interior < 0).any() or np.bincount(interior).max(initial=0) > 1)
     report = {
         "vertex": witness.vertex,
         "color": witness.color,

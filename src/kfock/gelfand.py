@@ -344,12 +344,12 @@ def multiplicativity_check(fock, alpha, grading_budget: int = 3,
     """Vector-functional multiplicativity over all word pairs up to a grading.
 
     Runs for any interior point, on or off the variety, so it doubles as the
-    negative control: off-variety points must show a violation.  A budget
-    whose words x dimension exceeds ``MAX_CHECK_ENTRIES`` is refused with
-    ``BudgetError`` before any work.  No matrix of that size is formed, but
-    the bound still decides which checks run.  A caller that already holds
-    ``omega_vector(fock, alpha)`` may pass it as ``omega``; nu is its
-    conjugate, normalized.
+    negative control: off-variety points must show a violation.  Before any
+    work, a negative budget raises ``DomainError`` and one whose words x
+    dimension exceeds ``MAX_CHECK_ENTRIES`` raises ``BudgetError``.  No
+    matrix of that size is formed, but the bound still decides which checks
+    run.  A caller that already holds ``omega_vector(fock, alpha)`` may pass
+    it as ``omega``; nu is its conjugate, normalized.
 
     The words are the basis prefix of grading <= budget.  At one vertex every
     path composes, so L_p is defined exactly on the prefix of grading <= N - |p|,
@@ -358,11 +358,15 @@ def multiplicativity_check(fock, alpha, grading_budget: int = 3,
     rho is taken for every path of grading <= 2 budget, grade by grade: with
     p = q e, e its last letter, the row Y_p = conj(L_p^T nu) on p's prefix is
     Y_q gathered along e's row of ``left``, and rho_p is Y_p times nu's prefix.
+    That row of ``left`` is the gather's index itself: every entry on the
+    prefix is defined, so no -1 reaches it.
 
     The residual is rounding noise: another summation order in the products,
     or a complex multiply on a view instead of a fresh array, would change its
     digits.
     """
+    if grading_budget < 0:
+        raise DomainError("grading budget must be >= 0")
     g = fock.graph
     point = as_point(g, alpha)
     _check_interior(g, point)
@@ -385,9 +389,10 @@ def multiplicativity_check(fock, alpha, grading_budget: int = 3,
         up = parent[lo:hi] - start  # p = lead q' e, with q' e the parent
         q, e = (parent[lo:hi], lead[lo:hi]) if a == 1 else (fock.left[lead[lo:hi], q[up]], e[up])
         n = fock.prefix(N - a)
-        flat = fock.left[e, :n]  # Y_p is Y_q along e's row: Y's flat entries to gather
-        flat += ((q - start) * Y.shape[1])[:, None]
-        Y = Y.ravel().take(flat)
+        Z = np.empty((hi - lo, n), dtype=Y.dtype)
+        for r, (i, x) in enumerate(zip((q - start).tolist(), e.tolist())):
+            Y[i].take(fock.left[x, :n], out=Z[r], mode="clip")  # "raise" would buffer
+        Y = Z
         rho.append(Y @ vec[:n])
     rho = np.append(np.concatenate(rho), 0)  # -1, i j past the truncation, reads 0
     at = np.empty((n_words, n_words), dtype=np.int64)  # at[i, j]: index of i j, or -1

@@ -86,6 +86,24 @@ def test_missing_square_fails_loudly():
         fock.TruncatedFock(broken, 2).left
 
 
+def test_a_space_without_edge_columns_needs_no_squares():
+    """At N = 0 no column has a lead letter, so no pair meets a column and a
+    missing square is no error."""
+    assert (fock.TruncatedFock(_square_graph([]), 0).left == -1).all()
+
+
+@pytest.mark.parametrize("tokens", [["2", "2", "cyclic"], ["2", "3", "cyclic"],
+                                    ["1", "2", "2", "seed:1"]])
+def test_one_vertex_tables_are_defined_below_the_truncation(tokens):
+    """At one vertex every edge composes with every path, so each entry of
+    ``left`` on the columns of grading <= N - 1 is defined: the multiplicativity
+    check gathers its rows through them with no test for -1."""
+    g = builders.builtin_graph(["single-vertex", *tokens])
+    for trunc in range(7):
+        space = fock.TruncatedFock(g, trunc)
+        assert (space.left[:, :space.prefix(trunc - 1)] >= 0).all(), trunc
+
+
 def test_first_square_for_a_pair_wins():
     """A second square for (b, a1) is ignored by the tables, as by ``KGraph.compose``."""
     edges = [Edge("a1", 1, "v", "v"), Edge("a2", 1, "v", "v"), Edge("b", 2, "v", "v")]

@@ -84,6 +84,19 @@ def test_commutant_builds_each_right_map_from_left_without_a_second_table():
     assert peak < left.nbytes / 4, (peak, left.nbytes)
 
 
+def test_table_build_peaks_near_the_table():
+    """The swap pairs are expanded one grade at a time from the squares of
+    each lead letter, so the build holds the table and one grade's pairs."""
+    space = fock.TruncatedFock(builders.builtin_graph(["single-vertex", "2", "2", "cyclic"]), 10)
+    tracemalloc.start()
+    try:
+        left = space.left
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * left.nbytes, (peak, left.nbytes)
+
+
 def test_missing_squares_are_named_in_edge_then_column_order():
     # (c, a1) and (b, a2) have no square: column a1 comes first, edge b comes first
     edges = [Edge(x, c, "v", "v") for x, c in (("a1", 1), ("a2", 1), ("b", 2), ("c", 2))]

@@ -297,6 +297,12 @@ def test_multiplicativity_matrices_are_refused_before_allocation(monkeypatch, sv
     assert peak < entries * 16 // 8  # an eighth of one complex matrix
 
 
+def test_multiplicativity_refuses_a_negative_budget(sv22_cyclic):
+    space = fock.TruncatedFock(sv22_cyclic, 4)
+    with pytest.raises(DomainError, match="grading budget"):
+        gelfand.multiplicativity_check(space, ((0.1, 0.1), (0.1, 0.1)), grading_budget=-1)
+
+
 def test_multiplicativity_forms_no_words_by_dimension_matrix(sv22_cyclic):
     """The check peaks below one complex matrix of its words x dimension
     entries: each product is gathered on the prefix where it is defined."""
