@@ -358,8 +358,6 @@ def multiplicativity_check(fock, alpha, grading_budget: int = 3,
     rho is taken for every path of grading <= 2 budget, grade by grade: with
     p = q e, e its last letter, the row Y_p = conj(L_p^T nu) on p's prefix is
     Y_q gathered along e's row of ``left``, and rho_p is Y_p times nu's prefix.
-    That row of ``left`` is the gather's index itself: every entry on the
-    prefix is defined, so no -1 reaches it.
 
     The residual is rounding noise: another summation order in the products,
     or a complex multiply on a view instead of a fresh array, would change its
@@ -389,10 +387,9 @@ def multiplicativity_check(fock, alpha, grading_budget: int = 3,
         up = parent[lo:hi] - start  # p = lead q' e, with q' e the parent
         q, e = (parent[lo:hi], lead[lo:hi]) if a == 1 else (fock.left[lead[lo:hi], q[up]], e[up])
         n = fock.prefix(N - a)
-        Z = np.empty((hi - lo, n), dtype=Y.dtype)
-        for r, (i, x) in enumerate(zip((q - start).tolist(), e.tolist())):
-            Y[i].take(fock.left[x, :n], out=Z[r], mode="clip")  # "raise" would buffer
-        Y = Z
+        flat = fock.left[e, :n]  # Y_p is Y_q along e's row: Y's flat entries to gather
+        flat += ((q - start) * Y.shape[1])[:, None]
+        Y = Y.ravel().take(flat)
         rho.append(Y @ vec[:n])
     rho = np.append(np.concatenate(rho), 0)  # -1, i j past the truncation, reads 0
     at = np.empty((n_words, n_words), dtype=np.int64)  # at[i, j]: index of i j, or -1
