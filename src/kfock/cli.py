@@ -97,9 +97,31 @@ def _cmd_analyze(args):
     return 0
 
 
+def _op_words(g, specs):
+    """Each ``--op`` as (edge word, export file name), checked before anything
+    is written: its letters are edges that compose, and its name is a file
+    name inside ``--out``."""
+    words = []
+    for spec in specs:
+        word = []
+        for tok in spec.split():  # ids of product edges hold commas: split only outside an id
+            letters = [tok] if g.has_edge(tok) else [x for x in tok.split(",") if x]
+            if not all(map(g.has_edge, letters)):
+                raise DomainError(f"--op token {tok!r} is neither an edge id "
+                                  f"nor edge ids joined by commas")
+            word += letters
+        g.path_from_word(word)  # CompositionError unless the letters compose
+        name = "_".join(word) + ".mtx"
+        if os.path.basename(name) != name:  # spec files may put any character in an edge id
+            raise DomainError(f"export name {name!r} is not a file name in --out")
+        words.append((tuple(word), name))
+    return words
+
+
 def _cmd_fock(args):
     from . import fock
     g, desc = _validated(args)
+    ops = _op_words(g, args.op or [])
     space = fock.TruncatedFock(g, args.trunc)
     # the checks build the edge tables, so a refused table writes no manifest
     comm = fock.commutant_residual(space)
@@ -109,16 +131,8 @@ def _cmd_fock(args):
     manifest = os.path.join(args.out, "basis.tsv")
     fock.write_basis_manifest(space, manifest)
 
-    # ids of product edges hold commas: split on them only outside an id
-    words = [tuple(x for tok in op_spec.split()
-                   for x in ([tok] if g.has_edge(tok) else tok.split(",")) if x)
-             for op_spec in args.op or []]
-    names = ["_".join(word) + ".mtx" for word in words]
-    for name in names:  # spec files may put any character in an edge id
-        if os.path.basename(name) != name:
-            raise DomainError(f"export name {name!r} is not a file name in --out")
     written = []
-    for word, name in zip(words, names):
+    for word, name in ops:  # one operator at a time
         op = fock.word_op(space, word)
         fname = os.path.join(args.out, name)
         fock.write_matrix_market(op, fname)

@@ -3,14 +3,15 @@
 The basis is every canonical (colour-sorted) path of grading at most N, held
 as integer arrays over basis indices: ``parent(i)`` (the basis path with the
 leftmost letter stripped), ``lead(i)`` (that letter, which has the smallest
-colour of the word), the source and range vertex codes and the grading.  They
-are built grade by grade with the recursion of ``KGraph._paths``: a path
-extends by its range vertex's out-edges of colour <= its smallest colour, a
-prefix of them in (colour, id) order.  A grade's size, a sum of prefixes, is
-checked before it is allocated; one sort of its (path group, edge) pairs puts
-it in degree order, with each degree that holds a path a contiguous run.  The
-build stops at the first empty grade, so its work is bounded by the basis,
-not by N.  ``basis[i]`` rebuilds a ``Path`` from the parent chain on demand.
+colour of the word) and the source and range vertex codes.  They are built
+grade by grade with the recursion of ``KGraph._paths``: a path extends by its
+range vertex's out-edges of colour <= its smallest colour, a prefix of them in
+(colour, id) order.  A grade's size, a sum of prefixes, is checked before it
+is allocated; one sort of its (path group, edge) pairs puts it in degree
+order, with each degree that holds a path a contiguous run.  The build stops
+at the first empty grade, so its work is bounded by the basis, not by N.  No
+grading is stored: the paths of grading <= t come first, and ``prefix(t)``
+counts them.  ``basis[i]`` rebuilds a ``Path`` from the parent chain on demand.
 The space holds one representation that every operator is read from: the
 integer edge-action table
 
@@ -126,10 +127,10 @@ class TruncatedFock:
 
     The basis is sorted by grading, then degree (lexicographic), then word,
     so matrices are reproducible across runs.  It is held as integer arrays
-    over basis indices: ``parent_links()``, ``ends`` and ``deltas``, and in
-    ``blocks`` the (start, stop) run of each degree that holds a path, in
-    basis order.  ``prefix(t)`` counts the paths of grading <= t, the first
-    ones of the basis.  ``basis`` rebuilds a ``Path`` on each access.
+    over basis indices: ``parent_links()`` and ``ends``, and in ``blocks``
+    the (start, stop) run of each degree that holds a path, in basis order.
+    No grading is stored: ``prefix(t)`` counts the paths of grading <= t, the
+    first ones of the basis.  ``basis`` rebuilds a ``Path`` on each access.
     Construction assumes the graph has been validated; a basis of more than
     ``MAX_DIMENSION`` paths raises ``BudgetError`` before the grade that
     passes the cap is allocated.  ``left`` is the edge-action table of the
@@ -188,8 +189,6 @@ class TruncatedFock:
         parent, lead, src, dst = (np.concatenate(a) for a in zip(*grades))
         self._links = (parent, lead)
         self.ends = (src, dst)
-        self.deltas = np.repeat(np.arange(len(self._grades)),
-                                [stop - start for start, stop in self._grades])
         # degree -> (start, stop), made once the build can no longer be refused
         first = np.concatenate(firsts).tolist()
         self.blocks = dict(zip(map(tuple, np.concatenate(degrees).tolist()),
@@ -201,7 +200,7 @@ class TruncatedFock:
 
     @property
     def dimension(self) -> int:
-        return len(self.deltas)
+        return self._grades[-1][1]
 
     def index_of(self, path: Path) -> int:
         """Basis index of a path: its word applied through ``left`` to the
@@ -218,13 +217,6 @@ class TruncatedFock:
         """Number of basis paths of grading <= t (0 for t < 0).  The basis is
         sorted by grading, so they are ``basis[:prefix(t)]``."""
         return self._grades[min(t, len(self._grades) - 1)][1] if t >= 0 else 0
-
-    def generator_paths(self):
-        """Identity paths and single edges, the operator generators."""
-        g = self.graph
-        return tuple(g.identity(v) for v in g.vertices) + tuple(
-            g.edge_path(e.id) for e in g.edges
-        )
 
     def as_path(self, what) -> Path:
         """Coerce a Path, edge id, or vertex id into a path of this graph."""
@@ -452,9 +444,8 @@ def word_op(fock: TruncatedFock, word, base=None) -> SparseOperator:
 def fourier_coefficient(op: SparseOperator, path: Path):
     """<A xi_{s(path)}, xi_path>: the coefficient of the path in the symbol."""
     fock = op.space
-    row = fock.index_of(path)
-    col = fock.index_of(fock.graph.identity(path.src))
-    return op.matrix[row, col]
+    row = fock.index_of(path)  # the identities come first, so xi_v is column code(v)
+    return op.matrix[row, fock.vertex_codes[path.src]]
 
 
 def fourier_series(op: SparseOperator) -> dict:
@@ -462,8 +453,7 @@ def fourier_series(op: SparseOperator) -> dict:
     fock = op.space
     out = {}
     mat = op.matrix.tocsc()
-    for v in fock.graph.vertices:
-        col = fock.index_of(fock.graph.identity(v))
+    for col, v in enumerate(fock.graph.vertices):  # xi_v is column code(v)
         start, end = mat.indptr[col], mat.indptr[col + 1]
         for row, val in zip(mat.indices[start:end], mat.data[start:end]):
             path = fock.basis[row]
@@ -513,10 +503,10 @@ def commutant_residual(fock: TruncatedFock):
     One pass per right generator b tests every left one against R_b at once:
     L_v keeps the columns of range v, L_a is row a of ``left``, and where R_b
     is undefined so is L_a R_b, so R_b L_a must be too."""
-    left, dst, N = fock.left, fock.ends[1], fock.trunc
+    g, left, dst, N = fock.graph, fock.left, fock.ends[1], fock.trunc
     # the defined entries (a, c) of left on the blocks of margin 2 |b| + 2 (prefixes: views)
     entries = {m: np.nonzero(left[:, :fock.prefix(N - m)] >= 0) for m in (2, 4)}
-    for b in fock.generator_paths():
+    for b in [*map(g.identity, g.vertices), *(g.edge_path(e.id) for e in g.edges)]:
         rb = image(right_op(fock, b))
         got = rb[:fock.prefix(N - 2 * b.delta)]  # the block of the pairs (L_v, R_b)
         kept = np.flatnonzero(got >= 0)
@@ -658,7 +648,9 @@ def verify_cycle_blocks(n: int, k: int, trunc: int) -> dict:
     at = np.where(parent >= 0, fock._edge_arrays[2][lead], np.arange(fock.dimension))
     proj_ok = bool((num[at] == block).all())
 
-    congruence_ok = bool(((fock.deltas - (block - num[fock.ends[0]])) % n == 0).all())
+    counts = np.diff([fock.prefix(t) for t in range(-1, trunc + 1)])  # paths per grading
+    delta = np.repeat(np.arange(trunc + 1), counts)
+    congruence_ok = bool(((delta - (block - num[fock.ends[0]])) % n == 0).all())
     return {
         "n": n,
         "k": k,
@@ -711,9 +703,8 @@ def write_basis_manifest(fock: TruncatedFock, path) -> None:
     words = list(g.vertices)  # followed by its parent's word unless that is an identity
     for e, p in zip(lead[nv:].tolist(), parent[nv:].tolist()):
         words.append(f"{eid[e]} {words[p]}" if p >= nv else eid[e])
-    lines = ["#index\tword\tdegree\n"]
-    for n, (start, stop) in fock.blocks.items():
-        degree = ",".join(str(x) for x in n)
-        lines.extend(f"{i}\t{words[i]}\t{degree}\n" for i in range(start, stop))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(lines))
+    with open(path, "w", encoding="utf-8") as fh:  # a block at a time: no copy of the whole text
+        fh.write("#index\tword\tdegree\n")
+        for n, (start, stop) in fock.blocks.items():
+            degree = ",".join(str(x) for x in n)
+            fh.write("".join(f"{i}\t{words[i]}\t{degree}\n" for i in range(start, stop)))

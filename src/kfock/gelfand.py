@@ -24,7 +24,6 @@ __all__ = [
     "VarietyBinomial",
     "Character",
     "as_point",
-    "conjugate_point",
     "variety_polys",
     "variety_residual",
     "in_variety",
@@ -77,10 +76,6 @@ def as_point(g: KGraph, alpha):
     raise DomainError(
         f"point has wrong shape; expected per-color sizes {sizes} or {sum(sizes)} entries"
     )
-
-
-def conjugate_point(point):
-    return tuple(np.conj(p) for p in point)
 
 
 def _coord_map(g: KGraph, point):
@@ -183,7 +178,7 @@ def omega_vector(fock, alpha) -> np.ndarray:
     parent, lead = fock.parent_links()
     vals = np.zeros(fock.dimension, dtype=complex)
     vals[:fock.prefix(0)] = 1.0
-    for t in range(1, int(fock.deltas[-1]) + 1):
+    for t in range(1, fock.trunc + 1):  # a grade past the last one built is empty
         a, b = fock.prefix(t - 1), fock.prefix(t)
         vals[a:b] = coords[lead[a:b]] * vals[parent[a:b]]
     return vals
@@ -334,7 +329,7 @@ def character(g: KGraph, alpha, fock=None) -> Character:
         )
     vec = None
     if fock is not None and in_ball(g, point, open_=True):
-        vec = omega_vector(fock, conjugate_point(point))
+        vec = np.conj(omega_vector(fock, point))
         vec = vec / np.linalg.norm(vec)
     return Character(graph=g, point=point, vector=vec)
 
@@ -377,9 +372,8 @@ def multiplicativity_check(fock, alpha, grading_budget: int = 3,
     vec = vec / np.linalg.norm(vec)
 
     N = fock.trunc
-    words = fock.basis[:n_words]
     parent, lead = fock.parent_links()
-    top = min(2 * grading_budget, int(fock.deltas[-1]))  # the last grade to read
+    top = min(2 * grading_budget, N)  # the last grade to read; a grade past the last built is empty
     Y = np.conj(vec)[None]  # the rows of the last grade, each on its prefix
     rho = [Y @ vec]
     for a in range(1, top + 1):
@@ -405,17 +399,16 @@ def multiplicativity_check(fock, alpha, grading_budget: int = 3,
 
     coords = _coord_map(g, point)
     phi_err = 0.0
-    for i, p in enumerate(words):
-        if p.delta == 1:
-            phi_err = max(phi_err, abs(rho[i] - coords[p.word[0]]))
+    lo, hi = fock.prefix(0), fock.prefix(min(grading_budget, 1))  # the one-letter words
+    for i, e in enumerate(lead[lo:hi].tolist(), start=lo):
+        phi_err = max(phi_err, abs(rho[i] - coords[g.edges[e].id]))
 
     return {
         "trunc": fock.trunc,
         "gradingBudget": grading_budget,
-        "wordCount": len(words),
+        "wordCount": n_words,
         "maxResidual": worst,
-        "worstPair": [list(words[wi].word) or [words[wi].src],
-                      list(words[wj].word) or [words[wj].src]],
+        "worstPair": [list(p.word) or [p.src] for p in (fock.basis[wi], fock.basis[wj])],
         "phiRecoveryError": float(phi_err),
         "varietyResidual": variety_residual(g, point),
         "onVariety": in_variety(g, point, tol),

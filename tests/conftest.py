@@ -115,6 +115,19 @@ def on_operator(chi, op):
     return complex(np.vdot(chi.vector, op.matrix @ chi.vector))
 
 
+def gradings(space):
+    """Each basis path's grading: the basis is sorted by grading, so grade t
+    is the slice [prefix(t - 1):prefix(t)]."""
+    counts = np.diff([space.prefix(t) for t in range(-1, space.trunc + 1)])
+    return np.repeat(np.arange(space.trunc + 1), counts)
+
+
+def generator_paths(space):
+    """Identity paths and single edges, the operator generators."""
+    g = space.graph
+    return tuple(g.identity(v) for v in g.vertices) + tuple(g.edge_path(e.id) for e in g.edges)
+
+
 def grading_projection(space, t):
     """E_t: the diagonal projection onto the grade-t slice of the basis."""
     diag = np.zeros(space.dimension, dtype=np.int64)
@@ -125,7 +138,8 @@ def grading_projection(space, t):
 def diagonal_part(op, m):
     """Phi_m(A) = sum_j E_j A E_{j+m}: keep entries moving grade j+m -> j."""
     coo = op.matrix.tocoo()
-    keep = (op.space.deltas[coo.col] - op.space.deltas[coo.row]) == m
+    delta = gradings(op.space)
+    keep = (delta[coo.col] - delta[coo.row]) == m
     return SparseOperator(op.space, sp.csr_matrix(
         (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=coo.shape))
 
@@ -663,7 +677,7 @@ def oracle_commutant_residual(space):
     """Largest interior-block entry of L_a R_b - R_b L_a over all generator
     pairs, by sparse matrix products."""
     worst = 0
-    gens = space.generator_paths()
+    gens = generator_paths(space)
     lefts = [(p, fock.left_op(space, p)) for p in gens]
     rights = [(p, fock.right_op(space, p)) for p in gens]
     for lp, lo in lefts:
@@ -838,9 +852,9 @@ def oracle_multiplicativity_check(space, alpha, grading_budget=3, tol=1e-9):
     depend on the space alone, so each is built once per space."""
     g = space.graph
     point = gelfand.as_point(g, alpha)
-    vec = gelfand.omega_vector(space, gelfand.conjugate_point(point))
+    vec = np.conj(gelfand.omega_vector(space, point))
     vec = vec / np.linalg.norm(vec)
-    paths = [space.basis[i] for i in np.flatnonzero(space.deltas <= 2 * grading_budget)]
+    paths = [space.basis[i] for i in np.flatnonzero(gradings(space) <= 2 * grading_budget)]
     words = [p for p in paths if p.delta <= grading_budget]
     maps, rows = [], []
     for p in paths:

@@ -2,10 +2,9 @@
 
 import dataclasses
 
-import numpy as np
 import pytest
 
-from conftest import oracle_basis_size, oracle_left_op
+from conftest import gradings, oracle_basis_size, oracle_left_op
 from kfock import builders, fock, gelfand
 from kfock.errors import DomainError
 from kfock.kgraph import validate
@@ -34,6 +33,7 @@ def test_arrays_agree_with_enumeration(name, g):
         index = {p: i for i, p in enumerate(paths)}
         parent, lead = space.parent_links()
         src, dst = space.ends
+        delta = gradings(space)
         assert len(space.basis) == space.dimension == len(paths)
         for i, p in enumerate(paths):
             if p.is_identity:
@@ -42,7 +42,7 @@ def test_arrays_agree_with_enumeration(name, g):
                 rest = g.path_from_word(p.word[1:], base=p.src)
                 assert parent[i] == index[rest]
                 assert lead[i] == space.edge_codes[p.word[0]]
-            assert (src[i], dst[i], space.deltas[i]) == (vcode[p.src], vcode[p.dst], p.delta)
+            assert (src[i], dst[i], delta[i]) == (vcode[p.src], vcode[p.dst], p.delta)
             assert space.basis[i] == p
             assert space.index_of(p) == i
         for n, (start, stop) in space.blocks.items():
@@ -88,10 +88,11 @@ def test_interior_indices_are_the_grading_prefix(name, g):
     """``prefix(t)`` counts the paths of grading <= t, and they come first."""
     for trunc in range(6):
         space = fock.TruncatedFock(g, trunc)
+        paths = g.all_paths_up_to(trunc)
         for t in range(-1, trunc + 2):
             n = space.prefix(t)
-            assert type(n) is int and n == np.count_nonzero(space.deltas <= t), (trunc, t)
-            assert (space.deltas[:n] <= t).all(), (trunc, t)
+            assert type(n) is int and n == sum(p.delta <= t for p in paths), (trunc, t)
+            assert all(p.delta <= t for p in space.basis[:n]), (trunc, t)
 
 
 def test_index_of_refuses_paths_outside_the_basis(cycle32):

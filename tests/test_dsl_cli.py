@@ -217,9 +217,25 @@ def test_cli_fock_refuses_an_export_name_outside_out(tmp_path, monkeypatch, caps
                       "message": f"export name '{edge}.mtx' is not a file name in --out"}
     written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")
                      if p.is_file())
-    assert written == ["work/g.kg", "work/out/basis.tsv"]  # no .mtx, not even good.mtx
+    assert written == ["work/g.kg"]  # refused before --out is made: no manifest, no good.mtx
     assert cli.main(argv + ["--op", "good"]) == 0
     assert (work / "out" / "good.mtx").is_file()
+
+
+@pytest.mark.parametrize("ops,message", [
+    (["e1.1(x1,v,x1)"],
+     "--op token 'e1.1(x1,v,x1)' is neither an edge id nor edge ids joined by commas"),
+    (["e1.1(v,x1)", "e1.1(v,x1) e1.1(v,x1),zz"],
+     "--op token 'e1.1(v,x1),zz' is neither an edge id nor edge ids joined by commas"),
+    (["e1.1(v,x1)", "e1.1(v,x1) e1.1(v,x1)"],
+     "edges 'e1.1(v,x1)' -> 'e1.1(v,x1)' do not compose"),
+], ids=["not-an-edge", "second-op", "not-composable"])
+def test_cli_fock_checks_every_op_before_writing(tmp_path, monkeypatch, capsys, ops, message):
+    monkeypatch.chdir(tmp_path)
+    argv = ["fock", "product", "c2", "f2", "c3", "--trunc", "4", "--out", "out"]
+    assert cli.main(argv + [x for op in ops for x in ("--op", op)]) == 1
+    assert json.loads(capsys.readouterr().out)["message"] == message
+    assert not (tmp_path / "out").exists()  # so no basis.tsv and no .mtx of a good --op
 
 
 def test_cli_reused_parser_keeps_calls_apart(tmp_path):

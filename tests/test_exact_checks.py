@@ -11,8 +11,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (MAX_PRODUCTS, oracle_basis_size, oracle_cesaro, oracle_commutant_residual,
-                      oracle_multiplicativity_check, oracle_orthogonal_isometries,
+from conftest import (MAX_PRODUCTS, gradings, oracle_basis_size, oracle_cesaro,
+                      oracle_commutant_residual, oracle_multiplicativity_check,
+                      oracle_orthogonal_isometries,
                       oracle_partial_isometry_residual, oracle_radical_check,
                       random_k3_candidates, random_valid_kgraphs)
 from kfock import builders, fock, gelfand, structure
@@ -83,9 +84,10 @@ def test_residuals_of_corrupted_tables_match_sparse_product_oracles(monkeypatch)
         space = fock.TruncatedFock(graphs[trial % len(graphs)], 4)
         which = ("left", "right")[int(rng.integers(2))]
         table = space.left.copy() if which == "left" else _right_maps(space)
-        t = rng.choice(np.unique(space.deltas[:space.prefix(space.trunc - 1)]))
-        e, c = int(rng.integers(len(table))), int(rng.choice(np.flatnonzero(space.deltas == t)))
-        above = np.flatnonzero(space.deltas == t + 1)
+        delta = gradings(space)
+        t = rng.choice(np.unique(delta[:space.prefix(space.trunc - 1)]))
+        e, c = int(rng.integers(len(table))), int(rng.choice(np.flatnonzero(delta == t)))
+        above = np.flatnonzero(delta == t + 1)
         table[e, c] = rng.choice(above) if len(above) and rng.random() < 0.5 else -1
         if which == "left":
             space.__dict__["left"] = table
@@ -108,7 +110,7 @@ def test_commutant_sees_corruptions_only_one_comparison_can(grading, monkeypatch
     right, dst = _right_maps(space), space.ends[1]
     c = space.prefix(grading - 1)  # the first path of the grade
     b = np.flatnonzero(right[:, c] >= 0)[0]
-    moved = np.flatnonzero((space.deltas == grading + 1) & (dst != dst[c]))
+    moved = np.flatnonzero((gradings(space) == grading + 1) & (dst != dst[c]))
     right[b, c] = moved[0] if grading else -1
     _serve_right_maps(monkeypatch, space, right)
     assert fock.commutant_residual(space) == oracle_commutant_residual(space) == 1

@@ -444,3 +444,20 @@ def test_basis_manifest(tmp_path, chain_fock):
     first = lines[1].split("\t")
     assert first == ["0", "x1", "0,0"]
     assert any("a2 b1" in ln or "a2 a1" in ln for ln in lines)
+
+
+def test_basis_manifest_is_written_a_block_at_a_time(tmp_path):
+    """The manifest keeps each path's word, to extend it by a leading letter,
+    but writes each degree block as soon as it is formatted: it never holds a
+    list of every line and their joined text as well."""
+    space = fock.TruncatedFock(builders.builtin_graph(["single-vertex", "2", "2", "cyclic"]), 10)
+    out = tmp_path / "basis.tsv"
+    tracemalloc.start()
+    try:
+        fock.write_basis_manifest(space, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert (space.dimension, size) == (20_481, 1_137_829)
+    assert peak < 4 * size, (peak, size)

@@ -350,6 +350,43 @@ def test_character_object(sv22_cyclic, sv22_fock):
     assert abs(on_operator(chi, identity_op(sv22_fock)) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("tokens", [["2", "2", "cyclic"], ["2", "3", "seed:4"], ["1", "1", "id"]])
+def test_character_vector_is_the_normalised_conjugate_of_omega(tokens):
+    """nu is conj omega(alpha) / |omega(alpha)|, which is omega(conj alpha)
+    normalised up to the sign of zero imaginary parts."""
+    g = builders.builtin_graph(["single-vertex", *tokens])
+    space = fock.TruncatedFock(g, 6)
+    for seed in range(5):
+        for pt in gelfand.sample_variety_points(g, 2, seed=seed, max_norm=0.6):
+            chi = gelfand.character(g, pt, fock=space)
+            want = np.conj(gelfand.omega_vector(space, pt))
+            assert np.array_equal(chi.vector, want / np.linalg.norm(want))
+            conj_point = gelfand.omega_vector(space, tuple(np.conj(p) for p in pt))
+            assert np.array_equal(chi.vector, conj_point / np.linalg.norm(conj_point))
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 0)])
+def test_character_checks_on_a_loopless_vertex(shape):
+    """A single vertex without loops has one basis path at every truncation,
+    so every grade past 0 is empty: omega is the vacuum, its norm is exact and
+    the only word is the vertex."""
+    g = builders.single_vertex(shape, builders.identity_table(shape))
+    pt = gelfand.as_point(g, [])
+    norms = [0.0] * len(shape)
+    for trunc in range(6):
+        space = fock.TruncatedFock(g, trunc)
+        assert space.dimension == 1 and space.prefix(trunc) == 1
+        assert gelfand.omega_vector(space, pt).tolist() == [1 + 0j]
+        assert gelfand.omega_norm_check(space, pt) == {
+            "trunc": trunc, "partialNormSq": 1.0, "closedForm": 1.0, "tailBound": 0.0,
+            "gap": 0.0, "ok": True}
+        for budget in range(4):
+            assert gelfand.multiplicativity_check(space, pt, grading_budget=budget) == {
+                "trunc": trunc, "gradingBudget": budget, "wordCount": 1, "maxResidual": 0.0,
+                "worstPair": [["v"], ["v"]], "phiRecoveryError": 0.0, "varietyResidual": 0.0,
+                "onVariety": True, "ballNorms": norms, "multiplicativeWithin": True}
+
+
 def test_character_boundary_is_formal(sv22_cyclic, sv22_fock):
     t = 2 ** -0.5  # per-color norm exactly 1
     pt = ((t, t), (0.1, 0.1))
