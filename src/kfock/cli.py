@@ -5,7 +5,8 @@ either a path to a spec file or a builtin name with its parameters, e.g.
 ``cycle 3 2``, ``chain 3``, ``single-vertex 2 2 cyclic``, ``product f2 f3``.
 
 Exit codes: 0 all checks pass, 1 usage or parse error, 2 validation failure,
-3 numeric invariant failure.
+a graph the command cannot handle (MalformedGraphError, UnsupportedGraphError)
+or a refused budget (BudgetError), 3 numeric invariant failure.
 """
 
 import argparse
@@ -73,25 +74,24 @@ def _emit(report, json_path):
         print(f"report written to {json_path}")
 
 
-def _cmd_validate(args):
-    g, desc = _resolve_graph(args.graph)
-    rep = validate(g, max_grading=args.max_grading)
-    _emit(reports.envelope("validate", desc, {"validation": rep.to_dict()}),
-          args.json)
-    return 0 if rep.ok else VALIDATION_EXIT
-
-
 def _validated(args):
+    """The graph, its description and its report; a failing graph's report exits 2."""
     g, desc = _resolve_graph(args.graph)
     rep = validate(g, max_grading=args.max_grading)
     if not rep.ok:
         _emit(reports.envelope("validate", desc, {"validation": rep.to_dict()}), args.json)
         raise SystemExit(VALIDATION_EXIT)
-    return g, desc
+    return g, desc, rep
+
+
+def _cmd_validate(args):
+    _, desc, rep = _validated(args)
+    _emit(reports.envelope("validate", desc, {"validation": rep.to_dict()}), args.json)
+    return 0
 
 
 def _cmd_analyze(args):
-    g, desc = _validated(args)
+    g, desc, _ = _validated(args)
     _emit(reports.envelope("analyze", desc, {"structure": structure.structure_report(g)}),
           args.json)
     return 0
@@ -110,6 +110,8 @@ def _op_words(g, specs):
                 raise DomainError(f"--op token {tok!r} is neither an edge id "
                                   f"nor edge ids joined by commas")
             word += letters
+        if not word:
+            raise DomainError(f"--op {spec!r} names no edge")
         g.path_from_word(word)  # CompositionError unless the letters compose
         name = "_".join(word) + ".mtx"
         if os.path.basename(name) != name:  # spec files may put any character in an edge id
@@ -120,7 +122,7 @@ def _op_words(g, specs):
 
 def _cmd_fock(args):
     from . import fock
-    g, desc = _validated(args)
+    g, desc, _ = _validated(args)
     ops = _op_words(g, args.op or [])
     space = fock.TruncatedFock(g, args.trunc)
     # the checks build the edge tables, so a refused table writes no manifest
@@ -159,7 +161,7 @@ def _cmd_fock(args):
 
 def _cmd_gelfand(args):
     from . import fock, gelfand
-    g, desc = _validated(args)
+    g, desc, _ = _validated(args)
     polys = [str(b) + " = 0" for b in gelfand.variety_polys(g)]
 
     points = []

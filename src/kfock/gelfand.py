@@ -350,9 +350,11 @@ def multiplicativity_check(fock, alpha, grading_budget: int = 3,
     path composes, so L_p is defined exactly on the prefix of grading <= N - |p|,
     and L_i L_j = L_{ij} there.  So <L_i L_j nu, nu> is rho_p = <L_p nu, nu>
     at the basis path p = ij, whose index is ``left`` applied letter by letter.
-    rho is taken for every path of grading <= 2 budget, grade by grade: with
-    p = q e, e its last letter, the row Y_p = conj(L_p^T nu) on p's prefix is
-    Y_q gathered along e's row of ``left``, and rho_p is Y_p times nu's prefix.
+    One index table per grade a holds M_a[p, q], the index of p q for p of
+    grade a and q of grading <= N - a, by the module's recursion: with
+    p = f p', M_a[p] is f's row of ``left`` at M_{a-1}[p'].  rho_p is conj(nu)
+    at M_a[p] times nu's prefix, for every path of grading <= 2 budget, and
+    the words' rows of the pair table are M_a's first columns, -1 past N.
 
     The residual is rounding noise: another summation order in the products,
     or a complex multiply on a view instead of a fresh array, would change its
@@ -373,24 +375,21 @@ def multiplicativity_check(fock, alpha, grading_budget: int = 3,
 
     N = fock.trunc
     parent, lead = fock.parent_links()
+    nu_bar = np.conj(vec)
     top = min(2 * grading_budget, N)  # the last grade to read; a grade past the last built is empty
-    Y = np.conj(vec)[None]  # the rows of the last grade, each on its prefix
-    rho = [Y @ vec]
-    for a in range(1, top + 1):
-        start, lo, hi = fock.prefix(a - 2), fock.prefix(a - 1), fock.prefix(a)
-        up = parent[lo:hi] - start  # p = lead q' e, with q' e the parent
-        q, e = (parent[lo:hi], lead[lo:hi]) if a == 1 else (fock.left[lead[lo:hi], q[up]], e[up])
-        n = fock.prefix(N - a)
-        flat = fock.left[e, :n]  # Y_p is Y_q along e's row: Y's flat entries to gather
-        flat += ((q - start) * Y.shape[1])[:, None]
-        Y = Y.ravel().take(flat)
-        rho.append(Y @ vec[:n])
+    M = np.arange(fock.prefix(N))[None]  # M[p, q]: index of p q; M_0, the vertex's, is the identity
+    rho = []
+    at = np.full((n_words, n_words), -1, dtype=np.int64)  # at[i, j]: index of i j, or -1
+    for a in range(top + 1):
+        lo, hi = fock.prefix(a - 1), fock.prefix(a)
+        if a:  # p = f p': M[p] is f's row of ``left`` at M[p'], gathered through a flat index
+            M = M[:, :fock.prefix(N - a)].take(parent[lo:hi] - fock.prefix(a - 2), axis=0)
+            M += (lead[lo:hi] * fock.left.shape[1])[:, None]  # in place: no third grade-sized table
+            M = fock.left.take(M)  # flat: row f of ``left`` starts at f times its width
+        rho.append((nu_bar.take(M) if a else nu_bar[None]) @ vec[:M.shape[1]])
+        if a <= grading_budget:  # the words' rows: columns past M's width are past N, -1
+            at[lo:hi, :M.shape[1]] = M[:, :n_words]
     rho = np.append(np.concatenate(rho), 0)  # -1, i j past the truncation, reads 0
-    at = np.empty((n_words, n_words), dtype=np.int64)  # at[i, j]: index of i j, or -1
-    at[0] = np.arange(n_words)
-    for t in range(1, min(grading_budget, top) + 1):
-        lo, hi = fock.prefix(t - 1), fock.prefix(t)
-        at[lo:hi] = fock.left[lead[lo:hi, None], at[parent[lo:hi]]]
     pair = rho[at]  # pair[i, j] = <L_i L_j nu, nu>; row 0 is rho, as L_v is the identity
     rho = rho[:n_words]
     resid = np.abs(pair - np.outer(rho, rho))
@@ -398,10 +397,8 @@ def multiplicativity_check(fock, alpha, grading_budget: int = 3,
     wi, wj = np.unravel_index(int(resid.argmax()), resid.shape)
 
     coords = _coord_map(g, point)
-    phi_err = 0.0
     lo, hi = fock.prefix(0), fock.prefix(min(grading_budget, 1))  # the one-letter words
-    for i, e in enumerate(lead[lo:hi].tolist(), start=lo):
-        phi_err = max(phi_err, abs(rho[i] - coords[g.edges[e].id]))
+    phi_err = max(map(abs, rho[lo:hi] - [coords[g.edges[e].id] for e in lead[lo:hi]]), default=0.0)
 
     return {
         "trunc": fock.trunc,

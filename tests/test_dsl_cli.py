@@ -229,7 +229,9 @@ def test_cli_fock_refuses_an_export_name_outside_out(tmp_path, monkeypatch, caps
      "--op token 'e1.1(v,x1),zz' is neither an edge id nor edge ids joined by commas"),
     (["e1.1(v,x1)", "e1.1(v,x1) e1.1(v,x1)"],
      "edges 'e1.1(v,x1)' -> 'e1.1(v,x1)' do not compose"),
-], ids=["not-an-edge", "second-op", "not-composable"])
+    ([""], "--op '' names no edge"),
+    (["e1.1(v,x1)", ","], "--op ',' names no edge"),
+], ids=["not-an-edge", "second-op", "not-composable", "empty", "commas-only"])
 def test_cli_fock_checks_every_op_before_writing(tmp_path, monkeypatch, capsys, ops, message):
     monkeypatch.chdir(tmp_path)
     argv = ["fock", "product", "c2", "f2", "c3", "--trunc", "4", "--out", "out"]

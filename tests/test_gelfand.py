@@ -317,6 +317,25 @@ def test_multiplicativity_forms_no_words_by_dimension_matrix(sv22_cyclic):
     assert peak < 49 * 20_481 * 16
 
 
+def test_multiplicativity_peaks_near_its_largest_index_table(sv22_cyclic):
+    """Each grade keeps one int64 index table and gathers one complex row
+    stack from it, so the check peaks under 40 bytes per entry of its largest
+    grade's table: 24 for the table and its stack, the rest for omega and nu,
+    vectors of the dimension."""
+    space = fock.TruncatedFock(sv22_cyclic, 10)
+    space.left, space.parent_links()  # the space's own tables, built before the check
+    counts = [space.prefix(a) - space.prefix(a - 1) for a in range(7)]  # grades up to 2 x 3
+    largest = max(n * space.prefix(10 - a) for a, n in enumerate(counts))
+    tracemalloc.start()
+    try:
+        gelfand.multiplicativity_check(space, ((0.1, 0.1), (0.1, 0.1)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert largest == 61_632
+    assert peak < 40 * largest
+
+
 @pytest.mark.parametrize("trunc", [3, 5])
 @pytest.mark.parametrize("tokens", [["2", "2", "cyclic"], ["2", "3", "seed:4"],
                                     ["2", "2", "1", "seed:1"]])
