@@ -174,15 +174,26 @@ def _cmd_gelfand(args):
         points = gelfand.sample_variety_points(
             g, 3, seed=args.seed, max_norm=args.max_norm)
 
-    norms_sq = max(  # over the points that get checks, those in the open ball
-        (max((r * r for r in gelfand.ball_norms(g, pt)), default=0.0) for pt in points
-         if gelfand.in_ball(g, pt, open_=True)),
+    inside = [pt for pt in points if gelfand.in_ball(g, pt, open_=True)]  # those get checks
+    norms_sq = max(
+        (max((r * r for r in gelfand.ball_norms(g, pt)), default=0.0) for pt in inside),
         default=0.0,
     )
     trunc = args.trunc
     if trunc is None:
         trunc = gelfand.character_truncation([norms_sq] * g.k, 3, args.tol)
     space = fock.TruncatedFock(g, trunc)
+    # The checks that read a point's omega run first: the multiplicativity check writes
+    # conj(nu) over it, so the command keeps one vector of the dimension per point.
+    omegas, omega_checks = [], []  # omega_checks: normCheck and eigenResiduals (or None)
+    for pt in inside:
+        omega = gelfand.omega_vector(space, pt)  # one build for every check of the point
+        eigen = ({e.id: gelfand.eigen_residual(g, e.id, pt, trunc, fock=space, omega=omega)
+                  for e in g.edges} if gelfand.in_variety(g, pt, args.tol) else None)
+        omega_checks.append((gelfand.omega_norm_check(space, pt, omega=omega), eigen))
+        omegas.append(omega)
+    checks = iter(zip(omega_checks, gelfand.multiplicativity_check(  # all points in one pass
+        space, inside, tol=args.tol, omegas=omegas)))
 
     sample_reports = []
     ok = True
@@ -195,15 +206,10 @@ def _cmd_gelfand(args):
             "onVariety": on_var,
         }
         if gelfand.in_ball(g, pt, open_=True):
-            omega = gelfand.omega_vector(space, pt)  # one build for every check of the point
-            entry["normCheck"] = gelfand.omega_norm_check(space, pt, omega=omega)
-            mult = gelfand.multiplicativity_check(space, pt, tol=args.tol, omega=omega)
+            (entry["normCheck"], eigen), mult = next(checks)
             entry["multiplicativity"] = mult
             if on_var:
-                entry["eigenResiduals"] = {
-                    e.id: gelfand.eigen_residual(g, e.id, pt, trunc, fock=space, omega=omega)
-                    for e in g.edges
-                }
+                entry["eigenResiduals"] = eigen
                 point_ok = (entry["normCheck"]["ok"]
                             and mult["maxResidual"] <= args.tol
                             and max(entry["eigenResiduals"].values(), default=0.0)

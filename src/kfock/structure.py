@@ -178,13 +178,16 @@ def classify_vertices(g: KGraph) -> dict:
     False, else True or "unknown (budget)", which means no witness at any
     grading.
     """
-    leaving = [p for p in g.all_paths_up_to(2) if p.word and g.edge(p.word[-1]).dst != p.src]
+    leaving = {}  # source -> its leaving paths, in the order of all_paths_up_to
+    for p in g.all_paths_up_to(2):
+        if p.word and g.edge(p.word[-1]).dst != p.src:
+            leaving.setdefault(p.src, []).append(p)
     out = {}
     for v in g.vertices:
         radiating = all(e.src == v for e in g.in_edges(v))
         loops = g.loops_at(v)
         mult_one = all(len(g.loops_at(v, c)) <= 1 for c in range(1, g.k + 1))
-        mine = [p for p in leaving if p.src == v]
+        mine = leaving.get(v, [])
         if len(loops) < 2 or g.k == 1 or not mine:
             relational = False
         else:

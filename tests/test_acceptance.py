@@ -167,8 +167,7 @@ def test_criterion_12_character_multiplicativity():
     space = fock.TruncatedFock(g, trunc)
     points = gelfand.sample_variety_points(g, 10, seed=5150, max_norm=cap)
     worst_mult, worst_phi = 0.0, 0.0
-    for pt in points:
-        rep = gelfand.multiplicativity_check(space, pt, grading_budget=3, tol=1e-9)
+    for rep in gelfand.multiplicativity_check(space, points, grading_budget=3, tol=1e-9):
         assert rep["onVariety"]
         worst_mult = max(worst_mult, rep["maxResidual"])
         worst_phi = max(worst_phi, rep["phiRecoveryError"])
@@ -176,7 +175,7 @@ def test_criterion_12_character_multiplicativity():
     assert worst_phi <= 1e-10
     # negative control: a point off the variety must break multiplicativity
     control = gelfand.multiplicativity_check(
-        space, ((0.12, 0.05), (0.10, 0.04)), grading_budget=3, tol=1e-9)
+        space, [((0.12, 0.05), (0.10, 0.04))], grading_budget=3, tol=1e-9)[0]
     assert not control["onVariety"]
     assert control["maxResidual"] > 1e-9
     _pass(12, f"multiplicativity residual {worst_mult:.2e} <= 1e-9, "

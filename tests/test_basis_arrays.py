@@ -117,7 +117,7 @@ def test_gelfand_checks_build_no_paths():
     gelfand.omega_vector(space, point)
     for e in g.edges:
         gelfand.eigen_residual(g, e.id, point, 12, fock=space)
-    gelfand.multiplicativity_check(space, point)
+    gelfand.multiplicativity_check(space, [point])
     assert g._paths_cache == {}
     lam = g.edges_of_color(2)[0].id  # moves past colour-1 letters by squares
     assert (fock.left_op(space, lam).matrix != oracle_left_op(space, lam).matrix).nnz == 0

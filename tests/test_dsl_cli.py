@@ -316,6 +316,19 @@ def test_cli_gelfand_reports_points_outside_the_open_ball_unchecked(capsys, opti
         assert alone["trunc"] == trunc and rep["samples"][1:] == alone["samples"]
 
 
+def test_cli_gelfand_with_no_open_ball_point_runs_no_multiplicativity_check(monkeypatch, capsys):
+    # both samples lie outside the open polyball, so no multiplicativity check
+    # runs and its words x dimension bound refuses nothing
+    argv = ["gelfand", "single-vertex", "2", "2", "cyclic", "--samples", "2",
+            "--max-norm", "1.5", "--trunc", "4"]
+    assert cli.main(argv) == 0
+    want = capsys.readouterr().out
+    assert not any("multiplicativity" in s for s in json.loads(want)["samples"])
+    monkeypatch.setattr(gelfand, "MAX_CHECK_ENTRIES", 1)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_cli_gelfand_samples(tmp_path):
     out = tmp_path / "g.json"
     code = cli.main(["gelfand", "single-vertex", "2", "2", "cyclic",

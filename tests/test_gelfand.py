@@ -125,7 +125,7 @@ def test_every_character_check_rejects_a_nan_point(sv11, sv11_fock):
                   lambda: gelfand.omega_norm_check(sv11_fock, point),
                   lambda: gelfand.eigen_residual(sv11, "e1_1", point, 4, fock=sv11_fock),
                   lambda: gelfand.eigen_residual(sv11, "e1_1", point, 4),
-                  lambda: gelfand.multiplicativity_check(sv11_fock, point)):
+                  lambda: gelfand.multiplicativity_check(sv11_fock, [point])):
         with pytest.raises(DomainError, match="diverges"):
             check()
 
@@ -171,7 +171,8 @@ def test_checks_given_omega_match_checks_that_build_it(sv22_cyclic, sv22_fock):
     points = gelfand.sample_variety_points(sv22_cyclic, 3, seed=5, max_norm=0.4)
     for pt in points + [((0.3, 0.1), (0.05j, 0.2))]:  # the last is off the variety
         omega = gelfand.omega_vector(sv22_fock, pt)
-        assert (gelfand.multiplicativity_check(sv22_fock, pt, grading_budget=2, omega=omega)
+        assert (gelfand.multiplicativity_check(sv22_fock, [pt], grading_budget=2,
+                                               omegas=[omega])[0]
                 == oracle_multiplicativity_check(sv22_fock, pt, grading_budget=2))
     for pt in points:
         omega = gelfand.omega_vector(sv22_fock, pt)
@@ -267,7 +268,7 @@ def test_character_multiplicative_on_variety(sv22_cyclic):
     space = fock.TruncatedFock(sv22_cyclic, trunc)
     pts = gelfand.sample_variety_points(sv22_cyclic, 3, seed=11, max_norm=norm_cap)
     for pt in pts:
-        rep = gelfand.multiplicativity_check(space, pt, grading_budget=3, tol=1e-9)
+        rep = gelfand.multiplicativity_check(space, [pt], grading_budget=3, tol=1e-9)[0]
         assert rep["onVariety"]
         assert rep["maxResidual"] <= 1e-9
         assert rep["phiRecoveryError"] <= 1e-10
@@ -275,8 +276,8 @@ def test_character_multiplicative_on_variety(sv22_cyclic):
 
 def test_character_negative_control(sv22_cyclic):
     space = fock.TruncatedFock(sv22_cyclic, 12)
-    rep = gelfand.multiplicativity_check(space, ((0.12, 0.05), (0.10, 0.04)),
-                                          grading_budget=3, tol=1e-9)
+    rep = gelfand.multiplicativity_check(space, [((0.12, 0.05), (0.10, 0.04))],
+                                          grading_budget=3, tol=1e-9)[0]
     assert not rep["onVariety"]
     assert rep["maxResidual"] > 1e-9
 
@@ -285,12 +286,12 @@ def test_multiplicativity_matrices_are_refused_before_allocation(monkeypatch, sv
     pt = ((0.1, 0.1), (0.1, 0.1))
     entries = 49 * sv22_fock.dimension  # the words of grading <= 3 x dimension 4,097
     monkeypatch.setattr(gelfand, "MAX_CHECK_ENTRIES", entries)
-    assert gelfand.multiplicativity_check(sv22_fock, pt)["wordCount"] == 49
+    assert gelfand.multiplicativity_check(sv22_fock, [pt])[0]["wordCount"] == 49
     monkeypatch.setattr(gelfand, "MAX_CHECK_ENTRIES", entries - 1)
     tracemalloc.start()
     try:
         with pytest.raises(BudgetError):
-            gelfand.multiplicativity_check(sv22_fock, pt)
+            gelfand.multiplicativity_check(sv22_fock, [pt])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -300,7 +301,7 @@ def test_multiplicativity_matrices_are_refused_before_allocation(monkeypatch, sv
 def test_multiplicativity_refuses_a_negative_budget(sv22_cyclic):
     space = fock.TruncatedFock(sv22_cyclic, 4)
     with pytest.raises(DomainError, match="grading budget"):
-        gelfand.multiplicativity_check(space, ((0.1, 0.1), (0.1, 0.1)), grading_budget=-1)
+        gelfand.multiplicativity_check(space, [((0.1, 0.1), (0.1, 0.1))], grading_budget=-1)
 
 
 def test_multiplicativity_forms_no_words_by_dimension_matrix(sv22_cyclic):
@@ -309,7 +310,7 @@ def test_multiplicativity_forms_no_words_by_dimension_matrix(sv22_cyclic):
     space = fock.TruncatedFock(sv22_cyclic, 10)
     tracemalloc.start()
     try:
-        rep = gelfand.multiplicativity_check(space, ((0.1, 0.1), (0.1, 0.1)))
+        rep = gelfand.multiplicativity_check(space, [((0.1, 0.1), (0.1, 0.1))])[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -328,12 +329,78 @@ def test_multiplicativity_peaks_near_its_largest_index_table(sv22_cyclic):
     largest = max(n * space.prefix(10 - a) for a, n in enumerate(counts))
     tracemalloc.start()
     try:
-        gelfand.multiplicativity_check(space, ((0.1, 0.1), (0.1, 0.1)))
+        gelfand.multiplicativity_check(space, [((0.1, 0.1), (0.1, 0.1))])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert largest == 61_632
     assert peak < 40 * largest
+
+
+def test_multiplicativity_batch_keeps_one_vector_per_point(sv22_cyclic):
+    """The index tables are built once per call, and each further point keeps
+    one vector of the dimension, conj(nu): ten points peak at most ten such
+    vectors above one point."""
+    space = fock.TruncatedFock(sv22_cyclic, 10)
+    space.left, space.parent_links()  # the space's own tables, built before the check
+    points = gelfand.sample_variety_points(sv22_cyclic, 10, seed=31, max_norm=0.4)
+    peaks = []
+    for batch in (points[:1], points):
+        tracemalloc.start()
+        try:
+            gelfand.multiplicativity_check(space, batch)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 10 * space.dimension * 16
+
+
+def test_multiplicativity_takes_an_empty_batch_and_refuses_a_mismatched_one(monkeypatch,
+                                                                            sv22_fock):
+    """No points give no reports, before the words x dimension bound is
+    counted; a negative budget is refused before the points are read, and
+    omegas must match the points one to one."""
+    pt = ((0.1, 0.1), (0.1, 0.1))
+    with pytest.raises(DomainError, match="grading budget"):
+        gelfand.multiplicativity_check(sv22_fock, [], grading_budget=-1)
+    with pytest.raises(DomainError, match="grading budget"):
+        gelfand.multiplicativity_check(sv22_fock, [((1.0,), (0.2,))], grading_budget=-1)
+    omega = gelfand.omega_vector(sv22_fock, pt)
+    for omegas in ([], [omega, omega]):
+        with pytest.raises(DomainError, match="omegas"):
+            gelfand.multiplicativity_check(sv22_fock, [pt], omegas=omegas)
+    monkeypatch.setattr(gelfand, "MAX_CHECK_ENTRIES", 1)
+    assert gelfand.multiplicativity_check(sv22_fock, []) == []
+    assert gelfand.multiplicativity_check(sv22_fock, [], omegas=[]) == []
+    with pytest.raises(BudgetError):
+        gelfand.multiplicativity_check(sv22_fock, [pt])
+
+
+@pytest.mark.parametrize("budget", [1, 3])
+@pytest.mark.parametrize("tokens,trunc", [(["2", "2", "cyclic"], 8), (["2", "3", "seed:4"], 5),
+                                          (["2", "2", "1", "seed:1"], 6)])
+def test_multiplicativity_reports_do_not_depend_on_the_batch(tokens, trunc, budget):
+    """Points checked together share the space's index tables and nothing
+    else: each report of a batch is the point's one-point report and the
+    oracle's, with or without the caller's omegas, in the order of the points.
+    The caller's omegas come back overwritten by conj(nu)."""
+    g = builders.builtin_graph(["single-vertex", *tokens])
+    space = fock.TruncatedFock(g, trunc)
+    control = gelfand.as_point(g, [0.12, 0.05, 0.10, 0.04, 0.03][:len(g.edges)])
+    assert not gelfand.in_variety(g, control)  # the negative control
+    points = gelfand.sample_variety_points(g, 3, seed=23, max_norm=0.4) + [control]
+    batch = gelfand.multiplicativity_check(space, points, grading_budget=budget)
+    assert len(batch) == 4
+    for pt, rep in zip(points, batch):
+        assert rep == gelfand.multiplicativity_check(space, [pt], grading_budget=budget)[0]
+        assert rep == oracle_multiplicativity_check(space, pt, grading_budget=budget)
+    omegas = [gelfand.omega_vector(space, pt) for pt in points]
+    assert gelfand.multiplicativity_check(space, points, grading_budget=budget,
+                                          omegas=omegas) == batch
+    for pt, nu_bar in zip(points, omegas):
+        nu = np.conj(gelfand.omega_vector(space, pt))
+        assert np.array_equal(nu_bar, np.conj(nu / np.linalg.norm(nu)))
+    assert gelfand.multiplicativity_check(space, points[::-1], grading_budget=budget) == batch[::-1]
 
 
 @pytest.mark.parametrize("trunc", [3, 5])
@@ -400,7 +467,7 @@ def test_character_checks_on_a_loopless_vertex(shape):
             "trunc": trunc, "partialNormSq": 1.0, "closedForm": 1.0, "tailBound": 0.0,
             "gap": 0.0, "ok": True}
         for budget in range(4):
-            assert gelfand.multiplicativity_check(space, pt, grading_budget=budget) == {
+            assert gelfand.multiplicativity_check(space, [pt], grading_budget=budget)[0] == {
                 "trunc": trunc, "gradingBudget": budget, "wordCount": 1, "maxResidual": 0.0,
                 "worstPair": [["v"], ["v"]], "phiRecoveryError": 0.0, "varietyResidual": 0.0,
                 "onVariety": True, "ballNorms": norms, "multiplicativeWithin": True}
@@ -494,7 +561,7 @@ def test_character_checks_match_closed_form(name):
             assert gelfand.in_variety(g, pt)
             want = oracle_closed_form_character(g, pt, trunc)
             worst = max(want["bias"].values())
-            rep = gelfand.multiplicativity_check(space, pt)
+            rep = gelfand.multiplicativity_check(space, [pt])[0]
             assert abs(rep["maxResidual"] - worst) <= tol, (trunc, rep["maxResidual"], worst)
             assert want["bias"][tuple(map(tuple, rep["worstPair"]))] >= worst - 2 * tol
             assert abs(rep["phiRecoveryError"] - want["phiRecoveryError"]) <= tol
