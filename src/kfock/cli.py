@@ -183,17 +183,8 @@ def _cmd_gelfand(args):
     if trunc is None:
         trunc = gelfand.character_truncation([norms_sq] * g.k, 3, args.tol)
     space = fock.TruncatedFock(g, trunc)
-    # The checks that read a point's omega run first: the multiplicativity check writes
-    # conj(nu) over it, so the command keeps one vector of the dimension per point.
-    omegas, omega_checks = [], []  # omega_checks: normCheck and eigenResiduals (or None)
-    for pt in inside:
-        omega = gelfand.omega_vector(space, pt)  # one build for every check of the point
-        eigen = ({e.id: gelfand.eigen_residual(g, e.id, pt, trunc, fock=space, omega=omega)
-                  for e in g.edges} if gelfand.in_variety(g, pt, args.tol) else None)
-        omega_checks.append((gelfand.omega_norm_check(space, pt, omega=omega), eigen))
-        omegas.append(omega)
-    checks = iter(zip(omega_checks, gelfand.multiplicativity_check(  # all points in one pass
-        space, inside, tol=args.tol, omegas=omegas)))
+    # all points in one call, first: its words x dimension bound refuses before any omega
+    mults = iter(gelfand.multiplicativity_check(space, inside, tol=args.tol))
 
     sample_reports = []
     ok = True
@@ -206,10 +197,15 @@ def _cmd_gelfand(args):
             "onVariety": on_var,
         }
         if gelfand.in_ball(g, pt, open_=True):
-            (entry["normCheck"], eigen), mult = next(checks)
+            omega = gelfand.omega_vector(space, pt)  # one build for the point's other checks
+            entry["normCheck"] = gelfand.omega_norm_check(space, pt, omega=omega)
+            mult = next(mults)
             entry["multiplicativity"] = mult
             if on_var:
-                entry["eigenResiduals"] = eigen
+                entry["eigenResiduals"] = {
+                    e.id: gelfand.eigen_residual(g, e.id, pt, trunc, fock=space, omega=omega)
+                    for e in g.edges
+                }
                 point_ok = (entry["normCheck"]["ok"]
                             and mult["maxResidual"] <= args.tol
                             and max(entry["eigenResiduals"].values(), default=0.0)

@@ -335,21 +335,17 @@ def character(g: KGraph, alpha, fock=None) -> Character:
 
 
 def multiplicativity_check(fock, points, grading_budget: int = 3,
-                           tol: float = 1e-9, omegas=None) -> list:
+                           tol: float = 1e-9) -> list:
     """Vector-functional multiplicativity over all word pairs up to a grading:
     one report per point of ``points``, in their order.
 
     Runs for any interior point, on or off the variety, so it doubles as the
     negative control: off-variety points must show a violation.  Before any
-    work, a negative budget raises ``DomainError``, and so do a point outside
-    the open polyball and ``omegas`` of another length than ``points``.  No
-    points give [].  A budget whose words x dimension, one point's count,
-    exceeds ``MAX_CHECK_ENTRIES`` raises ``BudgetError``.  No matrix of that
-    size is formed, but the bound still decides which checks run.  A caller
-    that already holds each point's ``omega_vector(fock, alpha)`` may pass
-    them, in order, as ``omegas``: distinct arrays, each overwritten by
-    conj(nu), where nu is omega's conjugate, normalized.  So a caller runs its
-    other checks of omega first (``kfock gelfand`` does), or passes copies.
+    work, a negative budget raises ``DomainError``, and so does a point
+    outside the open polyball.  No points give [].  A budget whose words x
+    dimension, one point's count, exceeds ``MAX_CHECK_ENTRIES`` raises
+    ``BudgetError`` before any vector is built.  No matrix of that size is
+    formed, but the bound still decides which checks run.
 
     The words are the basis prefix of grading <= budget.  At one vertex every
     path composes, so L_p is defined exactly on the prefix of grading <= N - |p|,
@@ -362,13 +358,14 @@ def multiplicativity_check(fock, points, grading_budget: int = 3,
     the words' rows of the pair table are M_a's first columns, -1 past N.
 
     The tables depend on the space alone, so the grade loop is outside the
-    point loop: each M_a and the pair table are built once per call, however
-    many points it checks.  Each point keeps one vector of the dimension,
-    conj(nu), written over its omega.  Per grade, nu's prefix (the conjugate
-    of conj(nu)'s) and the rows conj(nu) at M_a are written into two buffers
-    that the points share.
-    ``left`` is read before the points' vectors are made, so its first build
-    holds none of them.
+    point loop, and the points are checked in passes: each pass builds every
+    M_a once and keeps one vector of the dimension per point, conj(nu), where
+    nu is omega(alpha)'s conjugate, normalized.  A pass takes as many points
+    as their vectors fit in the largest grade's rows conj(nu) at M_a, so the
+    peak stays near one point's whatever the number of points.  Per grade,
+    nu's prefix and the rows conj(nu) at M_a are written into two buffers
+    that the points share.  ``left`` is read before the points' vectors are
+    made, so its first build holds none of them.
 
     The residual is rounding noise: another summation order in the products,
     or a complex multiply on a view instead of a fresh array, would change its
@@ -380,8 +377,6 @@ def multiplicativity_check(fock, points, grading_budget: int = 3,
     points = [as_point(g, alpha) for alpha in points]
     for point in points:
         _check_interior(g, point)
-    if omegas is not None and len(omegas) != len(points):
-        raise DomainError(f"{len(omegas)} omegas given for {len(points)} points")
     if not points:
         return []
     n_words = fock.prefix(grading_budget)
@@ -389,29 +384,66 @@ def multiplicativity_check(fock, points, grading_budget: int = 3,
         raise BudgetError(f"a multiplicativity matrix of {n_words} x {fock.dimension} "
                           f"entries is over {MAX_CHECK_ENTRIES}")
 
+    N = fock.trunc
+    top = min(2 * grading_budget, N)  # the last grade to read; a grade past the last built is empty
+    largest = max((fock.prefix(a) - fock.prefix(a - 1)) * fock.prefix(N - a)
+                  for a in range(top + 1))  # entries of the largest M_a and of its rows
+    per_pass = max(1, largest // fock.dimension)  # vectors that fit in the largest rows
+    at = np.full((n_words, n_words), -1, dtype=np.int64)  # at[i, j]: index of i j, or -1
+    lo, hi = fock.prefix(0), fock.prefix(min(grading_budget, 1))  # the one-letter words
+    lead = fock.parent_links()[1]
+    reports = []
+    for first in range(0, len(points), per_pass):
+        batch = points[first:first + per_pass]
+        for point, rho in zip(batch, _rho_pass(fock, batch, top, grading_budget, at)):
+            rho = np.append(np.concatenate(rho), 0)  # -1, i j past the truncation, reads 0
+            pair = rho[at]  # pair[i, j] = <L_i L_j nu, nu>; row 0 is rho, as L_v is the identity
+            rho = rho[:n_words]
+            resid = np.abs(pair - np.outer(rho, rho))
+            worst = float(resid.max())
+            wi, wj = np.unravel_index(int(resid.argmax()), resid.shape)
+            coords = _coord_map(g, point)
+            phi_err = max(map(abs, rho[lo:hi] - [coords[g.edges[e].id] for e in lead[lo:hi]]),
+                          default=0.0)
+            reports.append({
+                "trunc": fock.trunc,
+                "gradingBudget": grading_budget,
+                "wordCount": n_words,
+                "maxResidual": worst,
+                "worstPair": [list(p.word) or [p.src] for p in (fock.basis[wi], fock.basis[wj])],
+                "phiRecoveryError": float(phi_err),
+                "varietyResidual": variety_residual(g, point),
+                "onVariety": in_variety(g, point, tol),
+                "ballNorms": list(ball_norms(g, point)),
+                "multiplicativeWithin": worst <= tol,
+            })
+    return reports
+
+
+def _rho_pass(fock, points, top, grading_budget, at):
+    """Each point's rho, one array per grade up to ``top``, from one build of
+    the index tables; fills the words' rows of ``at``."""
     parent, lead = fock.parent_links()
     left = fock.left  # built, if it is new, before any vector of the points
-    nu_bars = []  # conj(nu) of each point, written over its omega: the one vector a point keeps
-    for point, omega in zip(points, [None] * len(points) if omegas is None else omegas):
-        vec = omega_vector(fock, point) if omega is None else omega
+    nu_bars = []  # conj(nu) of each point: the one vector a point keeps
+    for point in points:
+        vec = omega_vector(fock, point)
         np.conj(vec, out=vec)  # nu, once normalized
         vec /= np.linalg.norm(vec)
         nu_bars.append(np.conj(vec, out=vec))
 
     N = fock.trunc
-    top = min(2 * grading_budget, N)  # the last grade to read; a grade past the last built is empty
+    n_words = len(at)
     M = np.arange(fock.prefix(N))[None]  # M[p, q]: index of p q; M_0, the vertex's, is the identity
     rhos = [[] for _ in points]
-    at = np.full((n_words, n_words), -1, dtype=np.int64)  # at[i, j]: index of i j, or -1
     for a in range(top + 1):
         lo, hi = fock.prefix(a - 1), fock.prefix(a)
         if a:  # p = f p': M[p] is f's row of ``left`` at M[p'], gathered through a flat index
             M = M[:, :fock.prefix(N - a)].take(parent[lo:hi] - fock.prefix(a - 2), axis=0)
             M += (lead[lo:hi] * left.shape[1])[:, None]  # in place: no third grade-sized table
             M = left.take(M)  # flat: row f of ``left`` starts at f times its width
-        # One buffer each, written for one point at a time and freed before the next grade's
-        # tables.  With a fresh gather per point, the command's peak RSS moved by 4.5 MB with
-        # the heap's layout (the checkout's directory name was enough to move it).
+        # one buffer each, reused by every point and freed before the next grade's tables,
+        # so the peak does not depend on the order of allocations
         nu = np.empty(M.shape[1], dtype=complex)  # nu's prefix
         rows = np.empty(M.shape, dtype=complex) if a else None  # conj(nu) at M
         for nu_bar, rho in zip(nu_bars, rhos):
@@ -421,32 +453,7 @@ def multiplicativity_check(fock, points, grading_budget: int = 3,
         del nu, rows
         if a <= grading_budget:  # the words' rows: columns past M's width are past N, -1
             at[lo:hi, :M.shape[1]] = M[:, :n_words]
-
-    lo, hi = fock.prefix(0), fock.prefix(min(grading_budget, 1))  # the one-letter words
-    reports = []
-    for point, rho in zip(points, rhos):
-        rho = np.append(np.concatenate(rho), 0)  # -1, i j past the truncation, reads 0
-        pair = rho[at]  # pair[i, j] = <L_i L_j nu, nu>; row 0 is rho, as L_v is the identity
-        rho = rho[:n_words]
-        resid = np.abs(pair - np.outer(rho, rho))
-        worst = float(resid.max())
-        wi, wj = np.unravel_index(int(resid.argmax()), resid.shape)
-        coords = _coord_map(g, point)
-        phi_err = max(map(abs, rho[lo:hi] - [coords[g.edges[e].id] for e in lead[lo:hi]]),
-                      default=0.0)
-        reports.append({
-            "trunc": fock.trunc,
-            "gradingBudget": grading_budget,
-            "wordCount": n_words,
-            "maxResidual": worst,
-            "worstPair": [list(p.word) or [p.src] for p in (fock.basis[wi], fock.basis[wj])],
-            "phiRecoveryError": float(phi_err),
-            "varietyResidual": variety_residual(g, point),
-            "onVariety": in_variety(g, point, tol),
-            "ballNorms": list(ball_norms(g, point)),
-            "multiplicativeWithin": worst <= tol,
-        })
-    return reports
+    return rhos
 
 
 def sample_variety_points(g: KGraph, count: int, seed, max_norm: float = 0.5):

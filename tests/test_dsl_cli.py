@@ -295,6 +295,18 @@ def test_cli_gelfand_refuses_oversized_multiplicativity_matrices(monkeypatch, ca
     assert json.loads(capsys.readouterr().out)["error"] == "BudgetError"
 
 
+def test_cli_gelfand_refuses_oversized_checks_before_building_omega(monkeypatch, capsys):
+    # the words x dimension bound is counted for all points at once, before any
+    # point's omega is built or its norm and eigen checks run
+    built = []
+    monkeypatch.setattr(gelfand, "omega_vector", lambda *a: built.append(a))
+    monkeypatch.setattr(gelfand, "MAX_CHECK_ENTRIES", 1)
+    assert cli.main(["gelfand", "single-vertex", "2", "2", "cyclic", "--samples", "3",
+                     "--trunc", "4"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "BudgetError"
+    assert built == []
+
+
 @pytest.mark.parametrize("options,trunc", [
     (["--alpha", "1,0,0,0"], 6),
     (["--alpha", "0.9,0.9,0.1,0.1"], 6),

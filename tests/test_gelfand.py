@@ -170,9 +170,7 @@ def test_checks_given_omega_match_checks_that_build_it(sv22_cyclic, sv22_fock):
     oracle's, which builds omega(conj alpha), on and off the variety."""
     points = gelfand.sample_variety_points(sv22_cyclic, 3, seed=5, max_norm=0.4)
     for pt in points + [((0.3, 0.1), (0.05j, 0.2))]:  # the last is off the variety
-        omega = gelfand.omega_vector(sv22_fock, pt)
-        assert (gelfand.multiplicativity_check(sv22_fock, [pt], grading_budget=2,
-                                               omegas=[omega])[0]
+        assert (gelfand.multiplicativity_check(sv22_fock, [pt], grading_budget=2)[0]
                 == oracle_multiplicativity_check(sv22_fock, pt, grading_budget=2))
     for pt in points:
         omega = gelfand.omega_vector(sv22_fock, pt)
@@ -337,41 +335,38 @@ def test_multiplicativity_peaks_near_its_largest_index_table(sv22_cyclic):
     assert peak < 40 * largest
 
 
-def test_multiplicativity_batch_keeps_one_vector_per_point(sv22_cyclic):
-    """The index tables are built once per call, and each further point keeps
-    one vector of the dimension, conj(nu): ten points peak at most ten such
-    vectors above one point."""
+def test_multiplicativity_peak_does_not_grow_with_the_points(sv22_cyclic):
+    """Points are checked in passes whose vectors of the dimension, one
+    conj(nu) each, fit in the complex rows of the largest grade's table: ten
+    or forty points peak at most those rows above one point."""
     space = fock.TruncatedFock(sv22_cyclic, 10)
     space.left, space.parent_links()  # the space's own tables, built before the check
-    points = gelfand.sample_variety_points(sv22_cyclic, 10, seed=31, max_norm=0.4)
+    counts = [space.prefix(a) - space.prefix(a - 1) for a in range(7)]  # grades up to 2 x 3
+    largest = max(n * space.prefix(10 - a) for a, n in enumerate(counts))
+    points = gelfand.sample_variety_points(sv22_cyclic, 40, seed=31, max_norm=0.4)
     peaks = []
-    for batch in (points[:1], points):
+    for batch in (points[:1], points[:10], points):
         tracemalloc.start()
         try:
             gelfand.multiplicativity_check(space, batch)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] <= peaks[0] + 10 * space.dimension * 16
+    assert largest // space.dimension == 3  # points per pass
+    assert max(peaks[1:]) <= peaks[0] + largest * 16
+    assert max(peaks[1:]) < 1.5 * peaks[0]
 
 
-def test_multiplicativity_takes_an_empty_batch_and_refuses_a_mismatched_one(monkeypatch,
-                                                                            sv22_fock):
+def test_multiplicativity_takes_an_empty_batch(monkeypatch, sv22_fock):
     """No points give no reports, before the words x dimension bound is
-    counted; a negative budget is refused before the points are read, and
-    omegas must match the points one to one."""
+    counted; a negative budget is refused before the points are read."""
     pt = ((0.1, 0.1), (0.1, 0.1))
     with pytest.raises(DomainError, match="grading budget"):
         gelfand.multiplicativity_check(sv22_fock, [], grading_budget=-1)
     with pytest.raises(DomainError, match="grading budget"):
         gelfand.multiplicativity_check(sv22_fock, [((1.0,), (0.2,))], grading_budget=-1)
-    omega = gelfand.omega_vector(sv22_fock, pt)
-    for omegas in ([], [omega, omega]):
-        with pytest.raises(DomainError, match="omegas"):
-            gelfand.multiplicativity_check(sv22_fock, [pt], omegas=omegas)
     monkeypatch.setattr(gelfand, "MAX_CHECK_ENTRIES", 1)
     assert gelfand.multiplicativity_check(sv22_fock, []) == []
-    assert gelfand.multiplicativity_check(sv22_fock, [], omegas=[]) == []
     with pytest.raises(BudgetError):
         gelfand.multiplicativity_check(sv22_fock, [pt])
 
@@ -381,9 +376,8 @@ def test_multiplicativity_takes_an_empty_batch_and_refuses_a_mismatched_one(monk
                                           (["2", "2", "1", "seed:1"], 6)])
 def test_multiplicativity_reports_do_not_depend_on_the_batch(tokens, trunc, budget):
     """Points checked together share the space's index tables and nothing
-    else: each report of a batch is the point's one-point report and the
-    oracle's, with or without the caller's omegas, in the order of the points.
-    The caller's omegas come back overwritten by conj(nu)."""
+    else: each report of a batch, made in one pass or several, is the point's
+    one-point report and the oracle's, in the order of the points."""
     g = builders.builtin_graph(["single-vertex", *tokens])
     space = fock.TruncatedFock(g, trunc)
     control = gelfand.as_point(g, [0.12, 0.05, 0.10, 0.04, 0.03][:len(g.edges)])
@@ -394,12 +388,6 @@ def test_multiplicativity_reports_do_not_depend_on_the_batch(tokens, trunc, budg
     for pt, rep in zip(points, batch):
         assert rep == gelfand.multiplicativity_check(space, [pt], grading_budget=budget)[0]
         assert rep == oracle_multiplicativity_check(space, pt, grading_budget=budget)
-    omegas = [gelfand.omega_vector(space, pt) for pt in points]
-    assert gelfand.multiplicativity_check(space, points, grading_budget=budget,
-                                          omegas=omegas) == batch
-    for pt, nu_bar in zip(points, omegas):
-        nu = np.conj(gelfand.omega_vector(space, pt))
-        assert np.array_equal(nu_bar, np.conj(nu / np.linalg.norm(nu)))
     assert gelfand.multiplicativity_check(space, points[::-1], grading_budget=budget) == batch[::-1]
 
 
